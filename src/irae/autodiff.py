@@ -22,12 +22,10 @@ __all__ = [
     "exp",
     "log",
     "absolute",
-    "elementwise",
     "sum_all",
     "mean_all",
     "channel_mean",
     "channel_std",
-    "reduce",
     "conv2d_same",
     "reshape",
     "narrow_channels",
@@ -42,7 +40,11 @@ _grad_enabled = True
 
 
 class no_grad:
-    """Context manager that suspends graph recording (inference paths)."""
+    """Context manager that suspends graph recording (inference paths).
+
+    Grad mode is one process-wide flag: entering this on any thread stops
+    recording on all threads until it exits.
+    """
 
     def __enter__(self):
         global _grad_enabled
@@ -134,7 +136,10 @@ class Tensor:
 
 
 def _result(data, parents, backward_fn):
-    """Wrap an op result, attaching the tape record when grad is needed."""
+    """Wrap an op result, attaching the tape record when grad is needed.
+
+    backward_fn takes no arguments; it reads the grad of the returned tensor.
+    """
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -182,87 +187,61 @@ def _fold(g, is_channel_operand):
     return g.sum(axis=(0, 2, 3)) if is_channel_operand else g
 
 
-def add(a, b):
-    if not isinstance(b, Tensor):
-        c = float(b)
-        return _scalar_op(a, lambda d: d + a.dtype.type(c), lambda g, d, y: g)
-    _check_dtypes(a, b, "add")
-    kind = _broadcast_kind(a, b, "add")
-    if kind == "same":
-        data = a.data + b.data
-    elif kind == "a_channel":
-        data = _chan(a.data) + b.data
-    else:
-        data = a.data + _chan(b.data)
-    out = _result(data, (a, b), None)
+def _binary(name, a, b, fn, grad_a, grad_b):
+    """Shared body of add/sub/mul.
+
+    A [C] operand is broadcast for fn and its gradient folded back to [C];
+    grad_a(g, av, bv) and grad_b(g, av, bv) give each operand's unfolded
+    gradient from the output gradient g and the broadcast operands.
+    """
+    _check_dtypes(a, b, name)
+    kind = _broadcast_kind(a, b, name)
+    av = _chan(a.data) if kind == "a_channel" else a.data
+    bv = _chan(b.data) if kind == "b_channel" else b.data
 
     def bwd():
         g = out.grad
         if a.requires_grad:
-            _accum(a, _fold(g, kind == "a_channel"))
+            _accum(a, _fold(grad_a(g, av, bv), kind == "a_channel"))
         if b.requires_grad:
-            _accum(b, _fold(g, kind == "b_channel"))
+            _accum(b, _fold(grad_b(g, av, bv), kind == "b_channel"))
 
-    out._backward = bwd if out.requires_grad else None
+    out = _result(fn(av, bv), (a, b), bwd)
     return out
+
+
+def _pass_grad(g, av, bv):
+    return g
+
+
+def add(a, b):
+    if not isinstance(b, Tensor):
+        c = float(b)
+        return _scalar_op(a, lambda d: d + a.dtype.type(c), lambda g, d, y: g)
+    return _binary("add", a, b, np.add, _pass_grad, _pass_grad)
 
 
 def sub(a, b):
     if not isinstance(b, Tensor):
         c = float(b)
         return _scalar_op(a, lambda d: d - a.dtype.type(c), lambda g, d, y: g)
-    _check_dtypes(a, b, "sub")
-    kind = _broadcast_kind(a, b, "sub")
-    if kind == "same":
-        data = a.data - b.data
-    elif kind == "a_channel":
-        data = _chan(a.data) - b.data
-    else:
-        data = a.data - _chan(b.data)
-    out = _result(data, (a, b), None)
-
-    def bwd():
-        g = out.grad
-        if a.requires_grad:
-            _accum(a, _fold(g, kind == "a_channel"))
-        if b.requires_grad:
-            _accum(b, _fold(-g, kind == "b_channel"))
-
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return _binary("sub", a, b, np.subtract, _pass_grad, lambda g, av, bv: -g)
 
 
 def mul(a, b):
     if not isinstance(b, Tensor):
         c = float(b)
         return _scalar_op(a, lambda d: d * a.dtype.type(c), lambda g, d, y: g * a.dtype.type(c))
-    _check_dtypes(a, b, "mul")
-    kind = _broadcast_kind(a, b, "mul")
-    av = _chan(a.data) if kind == "a_channel" else a.data
-    bv = _chan(b.data) if kind == "b_channel" else b.data
-    out = _result(av * bv, (a, b), None)
-
-    def bwd():
-        g = out.grad
-        if a.requires_grad:
-            _accum(a, _fold(g * bv, kind == "a_channel"))
-        if b.requires_grad:
-            _accum(b, _fold(g * av, kind == "b_channel"))
-
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return _binary("mul", a, b, np.multiply, lambda g, av, bv: g * bv, lambda g, av, bv: g * av)
 
 
 def _scalar_op(a, fwd, grad_rule):
     """Unary op with constant parameters folded into the closures."""
-    data = fwd(a.data)
-    out = _result(data, (a,), None)
 
     def bwd():
-        if a.requires_grad:
-            _accum(a, grad_rule(out.grad, a.data, out.data))
+        _accum(a, grad_rule(out.grad, a.data, out.data))
 
-    out._backward = bwd if out.requires_grad else None
+    out = _result(fwd(a.data), (a,), bwd)
     return out
 
 
@@ -294,33 +273,6 @@ def absolute(x):
     return _scalar_op(x, np.abs, lambda g, d, y: g * np.sign(d))
 
 
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "exp": exp,
-    "log": log,
-    "abs": absolute,
-}
-
-
-def elementwise(op, a, b=None):
-    """Dispatch by name; binary ops require b, unary ops forbid it."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}") from None
-    if op in ("add", "sub", "mul"):
-        if b is None:
-            raise ValueError(f"{op} needs two operands")
-        return fn(a, b)
-    if b is not None:
-        raise ValueError(f"{op} is unary")
-    return fn(a)
-
-
 def _check_nonempty(x, name):
     if x.size == 0:
         raise ValueError(f"{name}: empty tensor")
@@ -328,24 +280,22 @@ def _check_nonempty(x, name):
 
 def sum_all(x):
     _check_nonempty(x, "sum")
-    out = _result(x.data.sum(), (x,), None)
 
     def bwd():
         _accum(x, np.broadcast_to(out.grad, x.shape).astype(x.dtype, copy=False))
 
-    out._backward = bwd if out.requires_grad else None
+    out = _result(x.data.sum(), (x,), bwd)
     return out
 
 
 def mean_all(x):
     _check_nonempty(x, "mean")
     n = x.dtype.type(x.size)
-    out = _result(x.data.mean(), (x,), None)
 
     def bwd():
         _accum(x, np.broadcast_to(out.grad / n, x.shape).astype(x.dtype, copy=False))
 
-    out._backward = bwd if out.requires_grad else None
+    out = _result(x.data.mean(), (x,), bwd)
     return out
 
 
@@ -359,12 +309,11 @@ def channel_mean(x):
     _check_nonempty(x, "channel_mean")
     _check_nchw(x, "channel_mean")
     n = x.dtype.type(x.shape[0] * x.shape[2] * x.shape[3])
-    out = _result(x.data.mean(axis=(0, 2, 3)), (x,), None)
 
     def bwd():
         _accum(x, np.broadcast_to(_chan(out.grad / n), x.shape).astype(x.dtype, copy=False))
 
-    out._backward = bwd if out.requires_grad else None
+    out = _result(x.data.mean(axis=(0, 2, 3)), (x,), bwd)
     return out
 
 
@@ -381,30 +330,13 @@ def channel_std(x):
         raise ValueError("channel_std: needs more than one element per channel")
     mean = x.data.mean(axis=(0, 2, 3))
     std = x.data.std(axis=(0, 2, 3))  # population convention (divide by n)
-    out = _result(std, (x,), None)
 
     def bwd():
         n = x.dtype.type(n_elem)
         _accum(x, _chan(out.grad) * (x.data - _chan(mean)) / (n * _chan(std)))
 
-    out._backward = bwd if out.requires_grad else None
+    out = _result(std, (x,), bwd)
     return out
-
-
-_REDUCE = {
-    "sum": sum_all,
-    "mean": mean_all,
-    "channel_mean": channel_mean,
-    "channel_std": channel_std,
-}
-
-
-def reduce(op, x):
-    try:
-        fn = _REDUCE[op]
-    except KeyError:
-        raise ValueError(f"unknown reduce op {op!r}") from None
-    return fn(x)
 
 
 def conv2d_same(x, w, b=None):
@@ -444,7 +376,6 @@ def conv2d_same(x, w, b=None):
         data = data + _chan(b.data)
 
     parents = (x, w) if b is None else (x, w, b)
-    out = _result(data, parents, None)
 
     def bwd():
         g = out.grad
@@ -469,19 +400,18 @@ def conv2d_same(x, w, b=None):
         if b is not None and b.requires_grad:
             _accum(b, g.sum(axis=(0, 2, 3)))
 
-    out._backward = bwd if out.requires_grad else None
+    out = _result(data, parents, bwd)
     return out
 
 
 def reshape(x, shape):
     shape = tuple(int(s) for s in shape)
     data = x.data.reshape(shape)
-    out = _result(data, (x,), None)
 
     def bwd():
         _accum(x, out.grad.reshape(x.shape))
 
-    out._backward = bwd if out.requires_grad else None
+    out = _result(data, (x,), bwd)
     return out
 
 
@@ -490,14 +420,13 @@ def narrow_channels(x, start, stop):
     _check_nchw(x, "narrow_channels")
     if not (0 <= start < stop <= x.shape[1]):
         raise ValueError(f"narrow_channels: bad range [{start}:{stop}] for C={x.shape[1]}")
-    out = _result(np.ascontiguousarray(x.data[:, start:stop]), (x,), None)
 
     def bwd():
         g = np.zeros(x.shape, dtype=x.dtype)
         g[:, start:stop] = out.grad
         _accum(x, g)
 
-    out._backward = bwd if out.requires_grad else None
+    out = _result(np.ascontiguousarray(x.data[:, start:stop]), (x,), bwd)
     return out
 
 
@@ -509,7 +438,6 @@ def concat_channels(a, b):
     if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
         raise ValueError(f"concat_channels: incompatible shapes {a.shape} and {b.shape}")
     ca = a.shape[1]
-    out = _result(np.concatenate([a.data, b.data], axis=1), (a, b), None)
 
     def bwd():
         g = out.grad
@@ -518,7 +446,7 @@ def concat_channels(a, b):
         if b.requires_grad:
             _accum(b, g[:, ca:].copy())
 
-    out._backward = bwd if out.requires_grad else None
+    out = _result(np.concatenate([a.data, b.data], axis=1), (a, b), bwd)
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -197,9 +197,7 @@ def cmd_train(args):
 
 
 def _restore_one(model, src, dst):
-    img = load_pnm(src)
-    with no_grad():
-        restored = model.forward(img[None]).data[0]
+    restored = model.forward(load_pnm(src)[None]).data[0]
     save_pnm(dst, np.clip(restored, 0.0, 1.0))
 
 
@@ -212,12 +210,9 @@ def cmd_restore(args):
     if not model.actnorms_initialized:
         jobs = 1  # data-dependent init must happen on exactly one thread
     tasks = [(p, out_dir / p.name) for p in paths]
-    if jobs == 1:
-        for src, dst in tasks:
-            _restore_one(model, src, dst)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(lambda t: _restore_one(model, *t), tasks))
+    # grad mode is process-global: switch it once here, never in the workers
+    with no_grad(), ThreadPoolExecutor(max_workers=jobs) as pool:
+        list(pool.map(lambda t: _restore_one(model, *t), tasks))
     print(f"restored {len(tasks)} images -> {out_dir}")
     return 0
 
@@ -238,12 +233,8 @@ def cmd_eval(args):
         b = np.clip(load_pnm(reference_paths[name]), 0.0, 1.0)
         return name, psnr(a, b), ssim(a, b)
 
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        rows = [score(n) for n in names]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(score, names))
+    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        rows = list(pool.map(score, names))
     report = MetricReport()
     for name, p, s in rows:
         report.add(name, p, s)
@@ -258,12 +249,8 @@ def _recast_model(model, precision):
     """Same parameters, different float width (conditioning diagnostics)."""
     if precision == model.config.precision:
         return model
-    from dataclasses import replace
-
     recast = build(replace(model.config, precision=precision))
-    for dst, src in zip(recast.parameters(), model.parameters()):
-        dst.data[...] = src.data.astype(recast.config.dtype)
-    recast._set_actnorms_initialized(model.actnorms_initialized)
+    recast.restore(model.snapshot())
     return recast
 
 
@@ -292,7 +279,8 @@ def cmd_verify(args):
         with no_grad():
             restored = model.forward(x)
         back = model.inverse(restored)
-        worst = max(worst, float(np.max(np.abs(back.data - x.astype(cfg.dtype)))))
+        # np.maximum, unlike max(), lets a NaN error through to the FAIL below
+        worst = float(np.maximum(worst, np.max(np.abs(back.data - x.astype(cfg.dtype)))))
     bound = ROUND_TRIP_BOUNDS[cfg.precision]
     ok = worst < bound
     print(

@@ -40,10 +40,6 @@ class DiscreteJoint:
             raise ValueError(f"joint table sums to {arr.sum()!r}, not 1")
         self.table = arr
 
-    @property
-    def support_sizes(self):
-        return self.table.shape
-
     def marginal_x(self):
         return self.table.sum(axis=1)
 

@@ -175,42 +175,37 @@ class IraeModel:
 
     # -- parameter access ----------------------------------------------------
 
+    def _steps(self):
+        """Every flow step, encoder then decoder: the checkpoint traversal order."""
+        for level in self.encoder_levels + self.decoder_levels:
+            yield from level
+
     def parameters(self):
         """All learnable tensors in the fixed (checkpoint) traversal order."""
-        params = []
-        for level in self.encoder_levels + self.decoder_levels:
-            for step in level:
-                params.extend(step.parameters())
-        return params
+        return [p for step in self._steps() for p in step.parameters()]
 
     def param_count(self):
         return sum(p.size for p in self.parameters())
 
     @property
     def actnorms_initialized(self):
-        return all(
-            step.norm.initialized
-            for level in self.encoder_levels + self.decoder_levels
-            for step in level
-        )
-
-    def _set_actnorms_initialized(self, flag):
-        for level in self.encoder_levels + self.decoder_levels:
-            for step in level:
-                step.norm.initialized = flag
+        return all(step.norm.initialized for step in self._steps())
 
     def snapshot(self):
         """Copy of all parameter values plus the ActNorm-initialized flag."""
         return [p.data.copy() for p in self.parameters()], self.actnorms_initialized
 
     def restore(self, snapshot):
+        """Load a (parameter arrays, ActNorm-initialized flag) pair, as made by
+        snapshot(); arrays are cast to the model's dtype."""
         arrays, initialized = snapshot
         params = self.parameters()
         if len(arrays) != len(params):
             raise ValueError("snapshot does not match model structure")
         for p, a in zip(params, arrays):
             p.data[...] = a
-        self._set_actnorms_initialized(initialized)
+        for step in self._steps():
+            step.norm.initialized = initialized
 
 
 def build(config):
@@ -221,25 +216,16 @@ def build(config):
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
-    dtype = config.dtype
-    enc = []
-    for level in range(1, config.levels + 1):
-        channels = config.in_channels * 4**level
-        enc.append(
-            [
-                _FlowStep(channels, config.hidden_width, rng, dtype)
-                for _ in range(config.flow_steps)
-            ]
-        )
-    dec = []
-    for level in range(config.levels, 0, -1):
-        channels = config.in_channels * 4**level
-        dec.append(
-            [
-                _FlowStep(channels, config.hidden_width, rng, dtype)
-                for _ in range(config.flow_steps)
-            ]
-        )
+
+    def level(index):
+        channels = config.in_channels * 4**index
+        return [
+            _FlowStep(channels, config.hidden_width, rng, config.dtype)
+            for _ in range(config.flow_steps)
+        ]
+
+    enc = [level(i) for i in range(1, config.levels + 1)]
+    dec = [level(i) for i in range(config.levels, 0, -1)]
     return IraeModel(config, enc, dec)
 
 
@@ -271,20 +257,19 @@ def randomize_parameters(model, rng):
     ActNorms are marked initialized.
     """
     dtype = model.config.dtype
-    for level in model.encoder_levels + model.decoder_levels:
-        for step in level:
-            step.norm.scale.data[...] = rng.uniform(0.85, 1.2, step.norm.channels).astype(dtype)
-            step.norm.bias.data[...] = (0.1 * rng.standard_normal(step.norm.channels)).astype(dtype)
-            step.norm.initialized = True
-            step.mix.weight.data[...] = random_orthogonal(step.mix.channels, rng, dtype)
-            coupling = step.coupling
-            for p in (coupling.w1, coupling.b1, coupling.w2, coupling.b2, coupling.w3):
-                p.data[...] = (0.05 * rng.standard_normal(p.shape)).astype(dtype)
-            half = coupling.channels // 2
-            gate_bias = np.empty(coupling.channels)
-            gate_bias[:half] = rng.uniform(1.0, 3.0, half)
-            gate_bias[half:] = 0.05 * rng.standard_normal(half)
-            coupling.b3.data[...] = gate_bias.astype(dtype)
+    for step in model._steps():
+        step.norm.scale.data[...] = rng.uniform(0.85, 1.2, step.norm.channels).astype(dtype)
+        step.norm.bias.data[...] = (0.1 * rng.standard_normal(step.norm.channels)).astype(dtype)
+        step.norm.initialized = True
+        step.mix.weight.data[...] = random_orthogonal(step.mix.channels, rng, dtype)
+        coupling = step.coupling
+        for p in (coupling.w1, coupling.b1, coupling.w2, coupling.b2, coupling.w3):
+            p.data[...] = (0.05 * rng.standard_normal(p.shape)).astype(dtype)
+        half = coupling.channels // 2
+        gate_bias = np.empty(coupling.channels)
+        gate_bias[:half] = rng.uniform(1.0, 3.0, half)
+        gate_bias[half:] = 0.05 * rng.standard_normal(half)
+        coupling.b3.data[...] = gate_bias.astype(dtype)
     return model
 
 
@@ -373,10 +358,10 @@ def load_checkpoint(path):
     if sum(p.size for p in params) != count:
         raise CheckpointError("parameter count does not match the stored config")
     values = np.frombuffer(payload, dtype=wire)
-    offset = 0
-    for p in params:
-        chunk = values[offset : offset + p.size]
-        p.data[...] = chunk.reshape(p.shape).astype(config.dtype)
-        offset += p.size
-    model._set_actnorms_initialized(bool(initialized))
+    ends = np.cumsum([p.size for p in params])
+    arrays = [values[end - p.size : end].reshape(p.shape) for p, end in zip(params, ends)]
+    # per array, so the check never holds a mask as large as the whole payload
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise CheckpointError("checkpoint holds non-finite parameter values")
+    model.restore((arrays, bool(initialized)))
     return model

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, absolute, backward, mul, no_grad, sub, sum_all
-from .degrade import apply_awgn, apply_blind_awgn, apply_inpaint, apply_jpeg_sim, make_inpaint_mask
+from .degrade import degrade
 from .metrics import psnr
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "NonFiniteGradError",
     "AdamState",
     "adam_step",
-    "clip_global_norm",
     "LrSchedule",
     "run_schedule",
     "l1_loss",
@@ -75,17 +74,6 @@ class AdamState:
             m=[np.zeros_like(p.data) for p in params],
             v=[np.zeros_like(p.data) for p in params],
         )
-
-
-def clip_global_norm(grads, max_norm):
-    """Rescale grads in place so their global L2 norm is at most max_norm."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads if g is not None))
-    if total > max_norm and total > 0:
-        factor = max_norm / total
-        for g in grads:
-            if g is not None:
-                g *= factor
-    return grads
 
 
 def adam_step(params, grads, state, lr):
@@ -171,24 +159,6 @@ def history_lines(history):
     ]
 
 
-def _degrade_batch(images, spec, rng):
-    """Corrupt a list of (C,H,W) images; fresh draws per call where random."""
-    out = []
-    for x in images:
-        if spec.kind == "awgn":
-            out.append(apply_awgn(x, spec.sigma, rng))
-        elif spec.kind == "blind_awgn":
-            out.append(apply_blind_awgn(x, spec.sigma_range, rng)[0])
-        elif spec.kind == "jpeg":
-            out.append(apply_jpeg_sim(x, spec.quality_factor))
-        elif spec.kind == "inpaint":
-            mask = make_inpaint_mask(x.shape[-2:], spec.mask_size, rng)
-            out.append(apply_inpaint(x, mask))
-        else:
-            raise ValueError(f"unknown degradation kind {spec.kind!r}")
-    return out
-
-
 def _validate(model, val_pairs, batch_size):
     scores = []
     with no_grad():
@@ -201,16 +171,15 @@ def _validate(model, val_pairs, batch_size):
     return float(np.mean(scores))
 
 
-def train(model, images, spec, epochs_max, batch_size=16, seed=0, schedule=None, clip_grad_norm=None):
+def train(model, images, spec, epochs_max, batch_size=16, seed=0):
     """Minimize the L1 restoration loss; returns (model, history).
 
     images: list of (C,H,W) arrays in [0,1].  A 10% validation split (at
     least one image) is held out, fixed by the seed, with its corruptions
     drawn once so per-epoch PSNR is comparable.  Training corruptions are
-    redrawn every epoch for the stochastic kinds.  clip_grad_norm, when
-    set, caps the global gradient norm before each update (off by
-    default).  The model is left at the best-validation-PSNR parameters;
-    a NaN loss or gradient stops training early at the last good state.
+    redrawn every epoch for the stochastic kinds.  The model is left at the
+    best-validation-PSNR parameters; a NaN loss or gradient stops training
+    early at the last good state.
     """
     if len(images) == 0:
         raise ValueError("train: dataset is empty")
@@ -225,14 +194,12 @@ def train(model, images, spec, epochs_max, batch_size=16, seed=0, schedule=None,
         raise ValueError("train: dataset too small to split")
 
     val_images = [images[i] for i in val_idx]
-    val_pairs = [
-        TrainingPair(x, y) for x, y in zip(val_images, _degrade_batch(val_images, spec, rng))
-    ]
+    val_pairs = [TrainingPair(x, degrade(x, spec, rng)) for x in val_images]
     train_images = [images[i] for i in train_idx]
 
     params = model.parameters()
     adam = AdamState.for_params(params)
-    sched = schedule if schedule is not None else LrSchedule()
+    sched = LrSchedule()
     history = []
     best = None  # (val_psnr, snapshot)
     last_val_psnr = None
@@ -242,11 +209,8 @@ def train(model, images, spec, epochs_max, batch_size=16, seed=0, schedule=None,
         lr, stop = run_schedule(epoch, last_val_psnr, sched)
         if stop:
             break
-        perm = rng.permutation(len(train_images))
-        epoch_pairs = []
-        shuffled = [train_images[i] for i in perm]
-        for x, y in zip(shuffled, _degrade_batch(shuffled, spec, rng)):
-            epoch_pairs.append(TrainingPair(x, y))
+        shuffled = [train_images[i] for i in rng.permutation(len(train_images))]
+        epoch_pairs = [TrainingPair(x, degrade(x, spec, rng)) for x in shuffled]
 
         total = 0.0
         diverged = False
@@ -260,11 +224,8 @@ def train(model, images, spec, epochs_max, batch_size=16, seed=0, schedule=None,
                 diverged = True
                 break
             backward(loss)
-            grads = [p.grad for p in params]
-            if clip_grad_norm is not None:
-                clip_global_norm(grads, clip_grad_norm)
             try:
-                adam_step(params, grads, adam, lr)
+                adam_step(params, [p.grad for p in params], adam, lr)
             except NonFiniteGradError:
                 diverged = True
                 break

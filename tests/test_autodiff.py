@@ -16,7 +16,6 @@ from irae.autodiff import (
     channel_std,
     concat_channels,
     conv2d_same,
-    elementwise,
     exp,
     finite_diff_grad,
     log,
@@ -24,7 +23,6 @@ from irae.autodiff import (
     mul,
     narrow_channels,
     no_grad,
-    reduce,
     reshape,
     sigmoid,
     sub,
@@ -102,14 +100,6 @@ class TestElementwise:
         with pytest.raises(ValueError, match="non-positive"):
             log(Tensor([1.0, 0.0]))
 
-    def test_dispatch_by_name(self):
-        out = elementwise("tanh", Tensor([0.0]))
-        assert out.data[0] == 0.0
-        out = elementwise("mul", Tensor([2.0]), Tensor([3.0]))
-        assert out.data[0] == 6.0
-        with pytest.raises(ValueError, match="unknown elementwise"):
-            elementwise("pow", Tensor([1.0]))
-
     def test_finite_outputs_on_finite_inputs(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -181,11 +171,6 @@ class TestReduce:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             sum_all(Tensor(np.zeros((0,))))
-
-    def test_dispatch(self):
-        assert reduce("sum", Tensor([1.0, 2.0])).item() == 3.0
-        with pytest.raises(ValueError, match="unknown reduce"):
-            reduce("max", Tensor([1.0]))
 
 
 class TestBackward:

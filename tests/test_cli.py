@@ -1,9 +1,15 @@
 """CLI behavior: config round trips, subcommands, end-to-end pipeline."""
 
+import threading
+
 import numpy as np
 import pytest
 
+import irae.autodiff as autodiff
+import irae.cli as cli
+from irae.autodiff import Tensor
 from irae.cli import RunConfig, main, parse_config_file, serialize_config
+from irae.model import IraeConfig, IraeModel, build, randomize_parameters, save_checkpoint
 from irae.pnm import load_pnm, save_pnm
 from synthimages import smooth_patches
 
@@ -75,9 +81,6 @@ class TestVerifyCommand:
         assert "bound 0.0001" in capsys.readouterr().out
 
     def test_checkpoint_recast_to_float64(self, tmp_path, capsys):
-        from irae.model import IraeConfig, build, randomize_parameters, save_checkpoint
-        import numpy as np
-
         model = build(IraeConfig(flow_steps=2, levels=1, hidden_width=8, precision="float32"))
         randomize_parameters(model, np.random.default_rng(0))
         ckpt = tmp_path / "m.ckpt"
@@ -87,6 +90,16 @@ class TestVerifyCommand:
         assert code == 0
         assert "float64" in out and "bound 1e-08" in out
 
+
+    def test_nan_round_trip_fails(self, monkeypatch, capsys):
+        def nan_inverse(self, xhat):
+            return Tensor(np.full(xhat.shape, np.nan, dtype=self.config.dtype))
+
+        monkeypatch.setattr(IraeModel, "inverse", nan_inverse)
+        code = main(["verify", "--flow-steps", "1", "--levels", "1", "--hidden-width", "4", "--trials", "2"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "nan" in out and "FAIL" in out
 
 class TestMiDemoCommand:
     def test_runs_and_confirms(self, capsys):
@@ -224,3 +237,36 @@ class TestTrainRestorePipeline:
         capsys.readouterr()
         for f in sorted(serial.iterdir()):
             assert f.read_bytes() == (parallel / f.name).read_bytes()
+
+    def test_restore_jobs_switches_grad_mode_once(self, tmp_path, monkeypatch, capsys):
+        """Worker A finishes its image while worker B is still inside forward:
+        B must still run without a tape, and grad mode must be back on after."""
+        model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4))
+        randomize_parameters(model, np.random.default_rng(11))
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(model, ckpt)
+        inputs = tmp_path / "inputs"
+        write_dataset(inputs, smooth_patches(2, 8, np.random.default_rng(12)))
+
+        both_in_forward = threading.Barrier(2, timeout=30)
+        first_saved = threading.Event()
+        grad_mode_in_forward = []
+        forward, save_pnm = IraeModel.forward, cli.save_pnm
+
+        def racing_forward(self, y):
+            if both_in_forward.wait() != 0:
+                assert first_saved.wait(timeout=30)
+            grad_mode_in_forward.append(autodiff._grad_enabled)
+            return forward(self, y)
+
+        def signalling_save(path, img):
+            save_pnm(path, img)
+            first_saved.set()
+
+        monkeypatch.setattr(autodiff, "_grad_enabled", True)
+        monkeypatch.setattr(IraeModel, "forward", racing_forward)
+        monkeypatch.setattr(cli, "save_pnm", signalling_save)
+        args = ["restore", "--checkpoint", str(ckpt), "--input", str(inputs)]
+        assert main(args + ["--output", str(tmp_path / "out"), "--jobs", "2"]) == 0
+        assert grad_mode_in_forward == [False, False]
+        assert autodiff._grad_enabled

@@ -29,16 +29,15 @@ def make_identity(model):
     """Force every layer to an exact (bitwise) identity: ActNorm s=1/b=0,
     1x1 weight = I, coupling net zero except a saturating scale-gate bias
     (sigmoid of a large value is exactly 1.0 in floats)."""
-    for level in model.encoder_levels + model.decoder_levels:
-        for step in level:
-            step.norm.scale.data[...] = 1.0
-            step.norm.bias.data[...] = 0.0
-            step.norm.initialized = True
-            step.mix.weight.data[...] = np.eye(step.mix.channels)
-            for p in step.coupling.parameters():
-                p.data[...] = 0.0
-            half = step.coupling.channels // 2
-            step.coupling.b3.data[:half] = 100.0  # raw_s + 2 saturates: s == 1.0
+    for step in model._steps():
+        step.norm.scale.data[...] = 1.0
+        step.norm.bias.data[...] = 0.0
+        step.norm.initialized = True
+        step.mix.weight.data[...] = np.eye(step.mix.channels)
+        for p in step.coupling.parameters():
+            p.data[...] = 0.0
+        half = step.coupling.channels // 2
+        step.coupling.b3.data[:half] = 100.0  # raw_s + 2 saturates: s == 1.0
     return model
 
 
@@ -259,6 +258,16 @@ class TestCheckpoint:
         blob[4:8] = (999).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
+
+    def test_non_finite_payload_rejected(self, tmp_path):
+        model = randomize_parameters(build(tiny_config()), np.random.default_rng(17))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # last float64 parameter
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="non-finite"):
             load_checkpoint(path)
 
     def test_config_taken_from_file(self, tmp_path):

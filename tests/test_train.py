@@ -13,7 +13,6 @@ from irae.train import (
     LrSchedule,
     NonFiniteGradError,
     adam_step,
-    clip_global_norm,
     history_lines,
     l1_loss,
     run_schedule,
@@ -97,16 +96,6 @@ class TestAdam:
         state = AdamState.for_params([p])
         with pytest.raises(NonFiniteGradError):
             adam_step([p], [np.array([np.nan])], state, 1e-3)
-
-    def test_global_norm_clip(self):
-        grads = [np.array([3.0, 0.0]), np.array([4.0])]
-        clip_global_norm(grads, 1.0)  # norm was 5
-        total = np.sqrt(sum(np.sum(g * g) for g in grads))
-        assert total == pytest.approx(1.0, rel=1e-12)
-        np.testing.assert_allclose(grads[0], [0.6, 0.0])
-        small = [np.array([0.1])]
-        clip_global_norm(small, 1.0)  # under the cap: untouched
-        assert small[0][0] == 0.1
 
 
 class TestSchedule:
