@@ -339,12 +339,47 @@ def channel_std(x):
     return out
 
 
+def _pad_cn(a, pad):
+    """[N,C,H,W] -> zero-padded copy laid out [C,N,H+2p,W+2p]."""
+    n, c, h, wd = a.shape
+    ap = np.zeros((c, n, h + 2 * pad, wd + 2 * pad), dtype=a.dtype)
+    ap[:, :, pad : pad + h, pad : pad + wd] = a.transpose(1, 0, 2, 3)
+    return ap
+
+
+def _im2col(ap, k):
+    """Padded [C,N,Hp,Wp] -> window matrix [C*k*k, N*H*W], in one copy."""
+    win = np.lib.stride_tricks.sliding_window_view(ap, (k, k), axis=(2, 3))
+    return win.transpose(0, 4, 5, 1, 2, 3).reshape(ap.shape[0] * k * k, -1)
+
+
+def _correlate(ap, wt):
+    """Padded [Ci,N,Hp,Wp] correlated with wt [Co,Ci,k,k] -> [Co,N,H,W].
+
+    One GEMM with the batch in its columns.  The k*k window copy is made on
+    the narrower side: im2col of the input when Ci <= Co, otherwise k*k
+    shifted adds of the Co-plane products of each tap with the input.
+    """
+    c_out, c_in, k, _ = wt.shape
+    _, n, hp, wp = ap.shape
+    h, wd = hp - k + 1, wp - k + 1
+    if c_in <= c_out:
+        return (wt.reshape(c_out, -1) @ _im2col(ap, k)).reshape(c_out, n, h, wd)
+    taps = wt.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in) @ ap.reshape(c_in, -1)
+    taps = taps.reshape(k, k, c_out, n, hp, wp)
+    return sum(taps[dy, dx, :, :, dy : dy + h, dx : dx + wd] for dy, dx in np.ndindex(k, k))
+
+
 def conv2d_same(x, w, b=None):
     """2-D cross-correlation with zero 'same' padding, stride 1, odd kernel.
 
     x: [N,Cin,H,W], w: [Cout,Cin,k,k], optional b: [Cout].  Output spatial
-    size equals the input's.  Implemented as k*k shifted matmuls so the bulk
-    of the work lands in BLAS.
+    size equals the input's.  Forward, input gradient and weight gradient
+    are one GEMM each over a [C, N*H*W] layout (see ``_correlate``); the
+    input gradient correlates the output gradient with the kernel flipped
+    in space and its channel axes swapped, and the weight gradient reuses
+    the narrower side's im2col (x's when Cin <= Cout, else the output
+    gradient's).  The tape keeps no padded copy of x.
     """
     _check_nchw(x, "conv2d_same")
     if w.ndim != 4 or w.shape[2] != w.shape[3]:
@@ -365,38 +400,33 @@ def conv2d_same(x, w, b=None):
     n, c_in, h, wd = x.shape
     c_out = w.shape[0]
     pad = (k - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    acc = np.zeros((n, c_out, h * wd), dtype=x.dtype)
-    for dy in range(k):
-        for dx in range(k):
-            xs = xp[:, :, dy : dy + h, dx : dx + wd].reshape(n, c_in, h * wd)
-            acc += np.matmul(w.data[:, :, dy, dx], xs)
-    data = acc.reshape(n, c_out, h, wd)
+    acc = _correlate(_pad_cn(x.data, pad), w.data)
     if b is not None:
-        data = data + _chan(b.data)
+        acc += b.data[:, None, None, None]
+    data = np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
 
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd():
         g = out.grad
-        go = g.reshape(n, c_out, h * wd)
-        if w.requires_grad:
-            gw = np.empty_like(w.data)
+        flipped = w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+        if c_in <= c_out:
+            if x.requires_grad:
+                gx = _correlate(_pad_cn(g, pad), flipped)
+            if w.requires_grad:
+                go = g.transpose(1, 0, 2, 3).reshape(c_out, -1)
+                gw = (_im2col(_pad_cn(x.data, pad), k) @ go.T).T.reshape(w.shape)
+        else:  # the narrow im2col is g's, and both gradients use it
+            cols = _im2col(_pad_cn(g, pad), k)
+            if x.requires_grad:
+                gx = (flipped.reshape(c_in, -1) @ cols).reshape(c_in, n, h, wd)
+            if w.requires_grad:
+                gw = cols @ x.data.transpose(1, 0, 2, 3).reshape(c_in, -1).T
+                gw = gw.reshape(c_out, k, k, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-        for dy in range(k):
-            for dx in range(k):
-                if w.requires_grad:
-                    xs = xp[:, :, dy : dy + h, dx : dx + wd].reshape(n, c_in, h * wd)
-                    gw[:, :, dy, dx] = np.tensordot(go, xs, axes=([0, 2], [0, 2]))
-                if x.requires_grad:
-                    gxp[:, :, dy : dy + h, dx : dx + wd] += np.matmul(
-                        w.data[:, :, dy, dx].T, go
-                    ).reshape(n, c_in, h, wd)
+            _accum(x, np.ascontiguousarray(gx.transpose(1, 0, 2, 3)))
         if w.requires_grad:
-            _accum(w, gw)
-        if x.requires_grad:
-            _accum(x, gxp[:, :, pad : pad + h, pad : pad + wd])
+            _accum(w, np.ascontiguousarray(gw))
         if b is not None and b.requires_grad:
             _accum(b, g.sum(axis=(0, 2, 3)))
 

@@ -255,6 +255,8 @@ def _recast_model(model, precision):
 
 
 def cmd_verify(args):
+    if args.trials < 1:
+        raise ValueError(f"verify: --trials must be at least 1, got {args.trials}")
     if args.checkpoint:
         model = load_checkpoint(args.checkpoint)
         if args.precision:

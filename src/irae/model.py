@@ -197,11 +197,17 @@ class IraeModel:
 
     def restore(self, snapshot):
         """Load a (parameter arrays, ActNorm-initialized flag) pair, as made by
-        snapshot(); arrays are cast to the model's dtype."""
+        snapshot(); each array must have its parameter's shape and is cast to
+        the model's dtype."""
         arrays, initialized = snapshot
         params = self.parameters()
         if len(arrays) != len(params):
             raise ValueError("snapshot does not match model structure")
+        for i, (p, a) in enumerate(zip(params, arrays)):
+            if np.shape(a) != p.shape:
+                raise ValueError(
+                    f"snapshot parameter {i} has shape {np.shape(a)}, model expects {p.shape}"
+                )
         for p, a in zip(params, arrays):
             p.data[...] = a
         for step in self._steps():

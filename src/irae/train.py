@@ -178,8 +178,9 @@ def train(model, images, spec, epochs_max, batch_size=16, seed=0):
     least one image) is held out, fixed by the seed, with its corruptions
     drawn once so per-epoch PSNR is comparable.  Training corruptions are
     redrawn every epoch for the stochastic kinds.  The model is left at the
-    best-validation-PSNR parameters; a NaN loss or gradient stops training
-    early at the last good state.
+    best-validation-PSNR parameters.  A non-finite loss, gradient or
+    validation PSNR stops training early: that epoch is not recorded, and
+    the model goes back to the best finite epoch, if there is one.
     """
     if len(images) == 0:
         raise ValueError("train: dataset is empty")
@@ -238,6 +239,8 @@ def train(model, images, spec, epochs_max, batch_size=16, seed=0):
 
         train_loss = total / len(epoch_pairs)
         val_psnr = _validate(model, val_pairs, batch_size)
+        if not math.isfinite(val_psnr):
+            break
         history.append(EpochRecord(epoch, train_loss, val_psnr, lr))
         if best is None or val_psnr > best[0]:
             best = (val_psnr, model.snapshot())

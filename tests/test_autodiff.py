@@ -6,6 +6,8 @@ convolution, and central finite differences for every backward rule.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irae.autodiff import (
     Tensor,
@@ -154,6 +156,51 @@ class TestConv2d:
         w = Tensor(np.zeros((1, 3, 3, 3)))
         with pytest.raises(ValueError, match="channels"):
             conv2d_same(x, w)
+
+
+@st.composite
+def conv_cases(draw, relation):
+    """float64 (x, w, b, r) with Cin `relation` Cout, N in 1..3, k in {1,3,5}
+    and H != W; r is a random projection of the output for gradient checks."""
+    narrow = draw(st.integers(1, 3))
+    wide = narrow if relation == "==" else narrow + draw(st.integers(1, 3))
+    c_in, c_out = (wide, narrow) if relation == ">" else (narrow, wide)
+    n = draw(st.integers(1, 3))
+    k = draw(st.sampled_from([1, 3, 5]))
+    h, wd = draw(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (
+        rng.standard_normal((n, c_in, h, wd)),
+        rng.standard_normal((c_out, c_in, k, k)),
+        rng.standard_normal(c_out),
+        rng.standard_normal((n, c_out, h, wd)),
+    )
+
+
+@pytest.mark.parametrize("relation", ["<", "==", ">"])
+class TestConv2dLayouts:
+    """conv2d_same lays out its GEMM by Cin against Cout; every side is
+    checked against the loop oracle and finite differences."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_forward_matches_loop_oracle(self, relation, data):
+        x, w, b, _ = data.draw(conv_cases(relation))
+        out = conv2d_same(Tensor(x), Tensor(w), Tensor(b))
+        np.testing.assert_allclose(out.data, conv2d_loops(x, w, b), rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_gradients_match_finite_differences(self, relation, data):
+        *arrays, r = data.draw(conv_cases(relation))
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        for i, leaf in enumerate(leaves):
+
+            def f(t, i=i):
+                operands = [t if j == i else other for j, other in enumerate(leaves)]
+                return sum_all(mul(conv2d_same(*operands), Tensor(r)))
+
+            assert_grad_matches_fd(f, leaf)
 
 
 class TestReduce:

@@ -91,6 +91,13 @@ class TestVerifyCommand:
         assert "float64" in out and "bound 1e-08" in out
 
 
+    def test_zero_trials_refused(self, capsys):
+        code = main(["verify", "--flow-steps", "1", "--levels", "1", "--hidden-width", "4", "--trials", "0"])
+        captured = capsys.readouterr()
+        assert code != 0
+        assert "PASS" not in captured.out
+        assert "--trials" in captured.err
+
     def test_nan_round_trip_fails(self, monkeypatch, capsys):
         def nan_inverse(self, xhat):
             return Tensor(np.full(xhat.shape, np.nan, dtype=self.config.dtype))

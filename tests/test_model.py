@@ -270,6 +270,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="non-finite"):
             load_checkpoint(path)
 
+    def test_restore_refuses_wrong_shapes(self):
+        model = randomize_parameters(build(tiny_config()), np.random.default_rng(18))
+        arrays, initialized = model.snapshot()
+        # scalars broadcast into every parameter, 1x1 weights included
+        with pytest.raises(ValueError, match="parameter 0 "):
+            model.restore(([np.float64(0.5)] * len(arrays), initialized))
+        i = next(j for j, a in enumerate(arrays) if a.ndim > 1)
+        flat = [a.reshape(-1) if j == i else a for j, a in enumerate(arrays)]
+        with pytest.raises(ValueError, match=f"parameter {i} "):
+            model.restore((flat, initialized))
+        for p, a in zip(model.parameters(), arrays):
+            assert np.array_equal(p.data, a)
+
     def test_config_taken_from_file(self, tmp_path):
         cfg = tiny_config(flow_steps=3, hidden_width=5, seed=21)
         model = build(cfg)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import irae.train as train_module
 from irae.autodiff import Tensor, backward, finite_diff_grad, sum_all
 from irae.degrade import DegradationSpec
+from irae.metrics import psnr
 from irae.model import IraeConfig, build
 from irae.train import (
     AdamState,
@@ -214,6 +216,27 @@ class TestTrainLoop:
         # the returned model carries the best parameters: re-validating the
         # val split under the recorded protocol reproduces the best PSNR
         assert history, "training must record epochs"
+
+    def test_nan_validation_psnr_stops_at_best_finite_epoch(self, monkeypatch):
+        images = smooth_patches(20, 8, np.random.default_rng(20))  # 2 validation images
+        spec = DegradationSpec(kind="awgn", sigma=15.0)
+
+        def run(epochs_max):
+            model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4, seed=21))
+            return train(model, images, spec, epochs_max=epochs_max, batch_size=8, seed=22)
+
+        epoch1_model, _ = run(1)
+        calls = []
+
+        def psnr_nan_in_epoch_2(restored, reference):
+            calls.append(None)
+            return math.nan if 2 < len(calls) <= 4 else psnr(restored, reference)
+
+        monkeypatch.setattr(train_module, "psnr", psnr_nan_in_epoch_2)
+        model, history = run(3)
+        assert len(history) == 1 and math.isfinite(history[0].val_psnr)
+        for p, q in zip(model.parameters(), epoch1_model.parameters()):
+            assert np.array_equal(p.data, q.data)
 
     def test_empty_dataset_rejected(self):
         model = build(tiny_config())
