@@ -20,7 +20,8 @@ from .autodiff import no_grad
 from .degrade import DegradationSpec
 from .infotheory import FiniteMap, iter_all_maps, information_preservation_check
 from .metrics import MetricReport, psnr, ssim
-from .model import IraeConfig, build, load_checkpoint, randomize_parameters, save_checkpoint
+from .model import PRECISION_DTYPES, IraeConfig, build, load_checkpoint, randomize_parameters
+from .model import save_checkpoint
 from .pnm import load_pnm, save_pnm
 from .train import history_lines, train
 
@@ -33,15 +34,18 @@ ROUND_TRIP_BOUNDS = {"float32": 1e-4, "float64": 1e-8}
 
 @dataclass
 class RunConfig:
-    """Everything a training run needs; defaults follow the reference setup."""
+    """Everything a training run needs; defaults follow the reference setup.
+
+    Every field is also a `train` flag: --name with _ replaced by -.
+    """
 
     task: str = "denoise"
-    flow_steps: int = 16
-    levels: int = 2
-    hidden_width: int = 64
-    in_channels: int = 1
-    precision: str = "float32"
-    seed: int = 0
+    flow_steps: int = IraeConfig.flow_steps
+    levels: int = IraeConfig.levels
+    hidden_width: int = IraeConfig.hidden_width
+    in_channels: int = IraeConfig.in_channels
+    precision: str = IraeConfig.precision
+    seed: int = IraeConfig.seed
     sigma: float = 25.0
     blind: bool = False
     sigma_lo: float = 0.0
@@ -56,23 +60,20 @@ class RunConfig:
     output_dir: str = "out"
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_CHOICES = {"task": TASKS, "precision": PRECISION_DTYPES}
+
+_RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
-def _parse_value(name, raw):
-    kind = _FIELD_TYPES[name]
-    raw = raw.strip()
-    if kind in ("bool", bool):
+def _parse_value(kind, raw):
+    """raw as the type of the field's default (bool, int, float or str)."""
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ValueError(f"config key {name}: expected true/false, got {raw!r}")
-    if kind in ("int", int):
-        return int(raw)
-    if kind in ("float", float):
-        return float(raw)
-    return raw
+        raise ValueError(f"expected true/false, got {raw!r}")
+    return kind(raw)
 
 
 def parse_config_file(path):
@@ -86,9 +87,13 @@ def parse_config_file(path):
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _RUN_DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        setattr(cfg, key, _parse_value(key, raw))
+        try:
+            value = _parse_value(type(_RUN_DEFAULTS[key]), raw.strip())
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: config key {key}: {e}") from None
+        setattr(cfg, key, value)
     return cfg
 
 
@@ -101,17 +106,6 @@ def serialize_config(cfg):
             value = "true" if value else "false"
         lines.append(f"{f.name}={value}")
     return "\n".join(lines) + "\n"
-
-
-def _model_config(cfg):
-    return IraeConfig(
-        flow_steps=cfg.flow_steps,
-        levels=cfg.levels,
-        hidden_width=cfg.hidden_width,
-        in_channels=cfg.in_channels,
-        precision=cfg.precision,
-        seed=cfg.seed,
-    )
 
 
 def _degradation_spec(cfg, image_size):
@@ -130,7 +124,6 @@ def _degradation_spec(cfg, image_size):
         quality_factor=cfg.quality_factor,
         mask_size=(cfg.mask_h, cfg.mask_w),
         image_size=image_size,
-        seed=cfg.seed,
     )
 
 
@@ -157,23 +150,27 @@ def _load_dataset(directory, in_channels):
     return paths, images
 
 
-def _apply_overrides(cfg, args):
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
-    return cfg
+def _at_least_one(args, name):
+    value = getattr(args, name)
+    if value < 1:
+        raise ValueError(f"{args.command}: --{name} must be at least 1, got {value}")
+    return value
+
+
+def _apply_overrides(cfg, source):
+    """A copy of cfg with every field that source sets to something other than None."""
+    given = {f.name: getattr(source, f.name) for f in fields(cfg)}
+    return replace(cfg, **{name: value for name, value in given.items() if value is not None})
 
 
 def cmd_train(args):
-    cfg = parse_config_file(args.config) if args.config else RunConfig()
-    _apply_overrides(cfg, args)
+    cfg = _apply_overrides(parse_config_file(args.config) if args.config else RunConfig(), args)
     if not cfg.dataset_dir:
         raise ValueError("train: dataset_dir is required (config key or --dataset-dir)")
     _, images = _load_dataset(cfg.dataset_dir, cfg.in_channels)
     h, w = images[0].shape[1:]
     spec = _degradation_spec(cfg, (h, w))
-    model = build(_model_config(cfg))
+    model = build(_apply_overrides(IraeConfig(), cfg))
     model, history = train(
         model,
         images,
@@ -202,11 +199,11 @@ def _restore_one(model, src, dst):
 
 
 def cmd_restore(args):
+    jobs = _at_least_one(args, "jobs")
     model = load_checkpoint(args.checkpoint)
     paths = _list_images(args.input)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = max(1, args.jobs)
     if not model.actnorms_initialized:
         jobs = 1  # data-dependent init must happen on exactly one thread
     tasks = [(p, out_dir / p.name) for p in paths]
@@ -218,6 +215,7 @@ def cmd_restore(args):
 
 
 def cmd_eval(args):
+    jobs = _at_least_one(args, "jobs")
     restored_paths = {p.name: p for p in _list_images(args.restored)}
     reference_paths = {p.name: p for p in _list_images(args.reference)}
     if set(restored_paths) != set(reference_paths):
@@ -233,7 +231,7 @@ def cmd_eval(args):
         b = np.clip(load_pnm(reference_paths[name]), 0.0, 1.0)
         return name, psnr(a, b), ssim(a, b)
 
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         rows = list(pool.map(score, names))
     report = MetricReport()
     for name, p, s in rows:
@@ -255,26 +253,18 @@ def _recast_model(model, precision):
 
 
 def cmd_verify(args):
-    if args.trials < 1:
-        raise ValueError(f"verify: --trials must be at least 1, got {args.trials}")
+    _at_least_one(args, "trials")
+    options = _apply_overrides(IraeConfig(), args)
     if args.checkpoint:
         model = load_checkpoint(args.checkpoint)
         if args.precision:
             model = _recast_model(model, args.precision)
     else:
-        config = IraeConfig(
-            flow_steps=args.flow_steps,
-            levels=args.levels,
-            hidden_width=args.hidden_width,
-            in_channels=args.in_channels,
-            precision=args.precision or "float32",
-            seed=args.seed,
-        )
-        model = build(config)
-        randomize_parameters(model, np.random.default_rng(args.seed))
+        model = build(options)
+        randomize_parameters(model, np.random.default_rng(options.seed))
     cfg = model.config
     size = args.size
-    rng = np.random.default_rng(args.seed + 1)
+    rng = np.random.default_rng(options.seed + 1)
     worst = 0.0
     for _ in range(args.trials):
         x = rng.uniform(0.0, 1.0, (1, cfg.in_channels, size, size))
@@ -337,27 +327,17 @@ def cmd_mi_demo(args):
     return 0 if ok else 2
 
 
-def _add_run_config_flags(parser):
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--task", choices=TASKS)
-    parser.add_argument("--flow-steps", dest="flow_steps", type=int)
-    parser.add_argument("--levels", type=int)
-    parser.add_argument("--hidden-width", dest="hidden_width", type=int)
-    parser.add_argument("--in-channels", dest="in_channels", type=int)
-    parser.add_argument("--precision", choices=("float32", "float64"))
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--sigma", type=float)
-    parser.add_argument("--blind", dest="blind", action="store_const", const=True)
-    parser.add_argument("--sigma-lo", dest="sigma_lo", type=float)
-    parser.add_argument("--sigma-hi", dest="sigma_hi", type=float)
-    parser.add_argument("--quality-factor", dest="quality_factor", type=int)
-    parser.add_argument("--mask-h", dest="mask_h", type=int)
-    parser.add_argument("--mask-w", dest="mask_w", type=int)
-    parser.add_argument("--epochs-max", dest="epochs_max", type=int)
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--dataset-dir", dest="dataset_dir")
-    parser.add_argument("--checkpoint")
-    parser.add_argument("--output-dir", dest="output_dir")
+def _add_config_flags(parser, config_cls, **helps):
+    """One --flag per field of config_cls, typed by the field's default.
+
+    Every flag defaults to None: _apply_overrides changes only what was given.
+    """
+    for f in fields(config_cls):
+        if isinstance(f.default, bool):
+            kw = {"action": "store_const", "const": True}
+        else:
+            kw = {"type": type(f.default), "choices": _CHOICES.get(f.name)}
+        parser.add_argument("--" + f.name.replace("_", "-"), help=helps.get(f.name), **kw)
 
 
 def _build_parser():
@@ -367,7 +347,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a model and write a checkpoint")
-    _add_run_config_flags(p_train)
+    p_train.add_argument("--config", help="key=value config file")
+    _add_config_flags(p_train, RunConfig)
     p_train.set_defaults(run=cmd_train)
 
     p_restore = sub.add_parser("restore", help="run a checkpoint over a directory of images")
@@ -386,16 +367,9 @@ def _build_parser():
 
     p_verify = sub.add_parser("verify", help="round-trip invertibility suite")
     p_verify.add_argument("--checkpoint", help="verify this checkpoint instead of a fresh model")
-    p_verify.add_argument("--flow-steps", dest="flow_steps", type=int, default=16)
-    p_verify.add_argument("--levels", type=int, default=2)
-    p_verify.add_argument("--hidden-width", dest="hidden_width", type=int, default=64)
-    p_verify.add_argument("--in-channels", dest="in_channels", type=int, default=1)
-    p_verify.add_argument(
-        "--precision",
-        choices=("float32", "float64"),
-        help="fresh-model precision, or recast a checkpoint's parameters",
+    _add_config_flags(
+        p_verify, IraeConfig, precision="fresh-model precision, or recast a checkpoint's parameters"
     )
-    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=50)
     p_verify.add_argument("--size", type=int, default=16)
     p_verify.set_defaults(run=cmd_verify)

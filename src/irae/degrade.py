@@ -63,7 +63,6 @@ class DegradationSpec:
     quality_factor: int = 40
     mask_size: tuple = (16, 16)
     image_size: tuple = (32, 32)
-    seed: int = 0
 
     def validate(self):
         if self.kind not in KINDS:

@@ -24,18 +24,16 @@ _K1 = 0.01
 _K2 = 0.03
 
 
-def psnr(restored, reference, max_val=1.0):
-    """10*log10(max_val^2 / MSE) in dB; MSE pooled over all channels."""
+def psnr(restored, reference):
+    """10*log10(1 / MSE) in dB for peak value 1; MSE pooled over all channels."""
     a = np.asarray(restored, dtype=np.float64)
     b = np.asarray(reference, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"psnr: shape mismatch {a.shape} vs {b.shape}")
-    if max_val <= 0:
-        raise ValueError(f"psnr: max_val must be positive, got {max_val}")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return PSNR_CAP_DB
-    return float(10.0 * np.log10(max_val**2 / mse))
+    return float(10.0 * np.log10(1.0 / mse))
 
 
 def _gaussian_window(size, sigma):
@@ -105,10 +103,10 @@ class MetricReport:
     def ssim_mean(self):
         return float(np.mean(self.ssim_values))
 
-    def table(self, sep="\t"):
-        """Delimiter-separated table with a header row and a mean row."""
-        lines = [sep.join(["image", "psnr_db", "ssim"])]
+    def table(self):
+        """Tab-separated table with a header row and a mean row."""
+        lines = ["\t".join(["image", "psnr_db", "ssim"])]
         for name, p, s in zip(self.names, self.psnr_values, self.ssim_values):
-            lines.append(sep.join([name, f"{p:.4f}", f"{s:.4f}"]))
-        lines.append(sep.join(["mean", f"{self.psnr_mean:.4f}", f"{self.ssim_mean:.4f}"]))
+            lines.append("\t".join([name, f"{p:.4f}", f"{s:.4f}"]))
+        lines.append("\t".join(["mean", f"{self.psnr_mean:.4f}", f"{self.ssim_mean:.4f}"]))
         return "\n".join(lines)

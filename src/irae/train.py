@@ -9,13 +9,26 @@ the rate falls below 1e-6.  Everything is deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import Tensor, absolute, backward, mul, no_grad, sub, sum_all
 from .degrade import degrade
 from .metrics import psnr
+
+# Adam moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+# plateau schedule: see the module docstring
+INITIAL_LR = 1e-3
+POST_DROP_LR = 2e-4
+DROP_EPOCH = 50
+PATIENCE = 10
+DECAY = 0.2
+STOP_THRESHOLD = 1e-6
 
 __all__ = [
     "TrainingPair",
@@ -64,9 +77,6 @@ class AdamState:
     m: list
     v: list
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params):
@@ -88,29 +98,23 @@ def adam_step(params, grads, state, lr):
         if g is not None and not np.all(np.isfinite(g)):
             raise NonFiniteGradError("non-finite gradient; aborting epoch")
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g is None:
             g = np.zeros_like(p.data)
-        m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[...] = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        m[...] = BETA1 * m + (1.0 - BETA1) * g
+        v[...] = BETA2 * v + (1.0 - BETA2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        p.data[...] = p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data[...] = p.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 @dataclass
 class LrSchedule:
     """Learning-rate state machine driven once per epoch by validation PSNR."""
 
-    initial_lr: float = 1e-3
-    post_drop_lr: float = 2e-4
-    drop_epoch: int = 50
-    patience: int = 10
-    decay: float = 0.2
-    stop_threshold: float = 1e-6
-    lr: float = 1e-3
+    lr: float = INITIAL_LR
     best_val_psnr: float = -math.inf
     epochs_since_improve: int = 0
 
@@ -130,15 +134,15 @@ def run_schedule(epoch, val_psnr, sched):
         else:
             sched.epochs_since_improve += 1
     stop = False
-    if epoch <= sched.drop_epoch:
-        sched.lr = sched.initial_lr
-    elif epoch == sched.drop_epoch + 1:
-        sched.lr = sched.post_drop_lr
+    if epoch <= DROP_EPOCH:
+        sched.lr = INITIAL_LR
+    elif epoch == DROP_EPOCH + 1:
+        sched.lr = POST_DROP_LR
         sched.epochs_since_improve = 0
-    elif sched.epochs_since_improve >= sched.patience:
-        sched.lr = sched.lr * sched.decay
+    elif sched.epochs_since_improve >= PATIENCE:
+        sched.lr = sched.lr * DECAY
         sched.epochs_since_improve = 0
-        if sched.lr < sched.stop_threshold:
+        if sched.lr < STOP_THRESHOLD:
             stop = True
     return sched.lr, stop
 
@@ -184,8 +188,8 @@ def train(model, images, spec, epochs_max, batch_size=16, seed=0):
     """
     if len(images) == 0:
         raise ValueError("train: dataset is empty")
-    spec.validate()
     images = [np.asarray(x, dtype=np.float64) for x in images]
+    replace(spec, image_size=images[0].shape[-2:]).validate()
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(images))
     n_val = max(1, len(images) // 10)

@@ -1,6 +1,7 @@
 """CLI behavior: config round trips, subcommands, end-to-end pipeline."""
 
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -48,6 +49,12 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="key=value"):
             parse_config_file(path)
 
+    def test_bad_value_names_line_and_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("sigma=15\nflow_steps=1.5\n")
+        with pytest.raises(ValueError, match=r"run\.cfg:2: config key flow_steps: .*'1\.5'"):
+            parse_config_file(path)
+
     def test_bool_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("blind=true\n")
@@ -55,6 +62,35 @@ class TestConfigFile:
         path.write_text("blind=maybe\n")
         with pytest.raises(ValueError, match="true/false"):
             parse_config_file(path)
+
+
+class TestDerivedFlags:
+    def test_model_fields_share_their_defaults(self):
+        run_defaults = {f.name: f.default for f in fields(RunConfig)}
+        for f in fields(IraeConfig):
+            assert run_defaults[f.name] == f.default, f.name
+
+    @pytest.mark.parametrize("command, config_cls", [("train", RunConfig), ("verify", IraeConfig)])
+    def test_every_flag_sets_its_field(self, command, config_cls):
+        choices = {"task": "inpaint", "precision": "float64"}
+        values, argv = {}, [command]
+        for f in fields(config_cls):
+            flag = "--" + f.name.replace("_", "-")
+            if isinstance(f.default, bool):
+                values[f.name] = not f.default
+                argv.append(flag)
+                continue
+            if f.name in choices:
+                value = choices[f.name]
+            elif isinstance(f.default, str):
+                value = "other" + f.default
+            else:
+                value = f.default + 3
+            assert value != f.default
+            values[f.name] = value
+            argv += [flag, str(value)]
+        args = cli._build_parser().parse_args(argv)
+        assert cli._apply_overrides(config_cls(), args) == config_cls(**values)
 
 
 class TestVerifyCommand:
@@ -121,6 +157,26 @@ class TestErrorHandling:
         code = main(["train", "--dataset-dir", "/nonexistent/place", "--epochs-max", "1"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_restore_zero_jobs_refused(self, tmp_path, capsys):
+        model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4))
+        randomize_parameters(model, np.random.default_rng(13))
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(model, ckpt)
+        inputs, out = tmp_path / "inputs", tmp_path / "out"
+        write_dataset(inputs, smooth_patches(2, 8, np.random.default_rng(14)))
+        args = ["restore", "--checkpoint", str(ckpt), "--input", str(inputs), "--output", str(out)]
+        assert main(args + ["--jobs", "0"]) == 1
+        assert "restore: --jobs must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_zero_jobs_refused(self, tmp_path, capsys):
+        d = tmp_path / "imgs"
+        write_dataset(d, smooth_patches(2, 16, np.random.default_rng(15)))
+        assert main(["eval", "--restored", str(d), "--reference", str(d), "--jobs", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "eval: --jobs must be at least 1, got 0" in captured.err
+        assert captured.out == ""
 
     def test_eval_set_mismatch(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -243,6 +243,15 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="empty"):
             train(model, [], DegradationSpec(), epochs_max=1)
 
+    def test_inpaint_mask_checked_against_the_given_images(self):
+        model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4, seed=23))
+        images = smooth_patches(4, 64, np.random.default_rng(24))
+        spec = DegradationSpec(kind="inpaint", mask_size=(24, 24))
+        _, history = train(model, images, spec, epochs_max=1, batch_size=4, seed=25)
+        assert len(history) == 1
+        with pytest.raises(ValueError, match="of a 32x32 image"):
+            train(model, [x[:, :32, :32] for x in images], spec, epochs_max=1)
+
     def test_history_lines_parseable(self):
         rng = np.random.default_rng(14)
         images = smooth_patches(20, 8, rng)
