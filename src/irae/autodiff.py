@@ -1,10 +1,11 @@
 """Dense NCHW tensors with tape-based reverse-mode automatic differentiation.
 
 Deliberately small: float32/float64 only, row-major layout, explicit shapes,
-and exactly one implicit broadcast (a per-channel vector [C] against a batch
-[N,C,H,W]).  The tape is freed as soon as ``backward`` runs; there are no
-higher-order derivatives.  A graph and the tensors it connects belong to a
-single thread; tensors with ``requires_grad=False`` may be shared read-only.
+and exactly one implicit broadcast: a per-channel vector [C] as the right
+operand of add/sub/mul, against a batch [N,C,H,W] on the left.  The tape is
+freed as soon as ``backward`` runs; there are no higher-order derivatives.
+A graph and the tensors it connects belong to a single thread; tensors with
+``requires_grad=False`` may be shared read-only.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents", "_spent")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
         if arr.dtype.type not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
@@ -98,37 +99,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self):
-        """New leaf sharing this tensor's values, cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
-    def backward(self):
-        backward(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def sum(self):
-        return sum_all(self)
-
-    def mean(self):
-        return mean_all(self)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -168,14 +138,12 @@ def _check_dtypes(a, b, name):
         raise ValueError(f"{name}: mixed dtypes {a.dtype} vs {b.dtype}")
 
 
-def _broadcast_kind(a, b, name):
-    """'same', 'a_channel' (a is [C] against b [N,C,H,W]) or 'b_channel'."""
+def _right_is_channel(a, b, name):
+    """False when a and b share a shape, True when b is [C] against a [N,C,H,W]."""
     if a.shape == b.shape:
-        return "same"
-    if a.ndim == 1 and b.ndim == 4 and a.shape[0] == b.shape[1]:
-        return "a_channel"
+        return False
     if b.ndim == 1 and a.ndim == 4 and b.shape[0] == a.shape[1]:
-        return "b_channel"
+        return True
     raise ValueError(f"{name}: incompatible shapes {a.shape} and {b.shape}")
 
 
@@ -183,28 +151,25 @@ def _chan(v):
     return v.reshape(1, -1, 1, 1)
 
 
-def _fold(g, is_channel_operand):
-    return g.sum(axis=(0, 2, 3)) if is_channel_operand else g
-
-
 def _binary(name, a, b, fn, grad_a, grad_b):
     """Shared body of add/sub/mul.
 
-    A [C] operand is broadcast for fn and its gradient folded back to [C];
-    grad_a(g, av, bv) and grad_b(g, av, bv) give each operand's unfolded
+    A [C] right operand is broadcast for fn and its gradient folded back to
+    [C]; grad_a(g, av, bv) and grad_b(g, av, bv) give each operand's unfolded
     gradient from the output gradient g and the broadcast operands.
     """
     _check_dtypes(a, b, name)
-    kind = _broadcast_kind(a, b, name)
-    av = _chan(a.data) if kind == "a_channel" else a.data
-    bv = _chan(b.data) if kind == "b_channel" else b.data
+    channel = _right_is_channel(a, b, name)
+    av = a.data
+    bv = _chan(b.data) if channel else b.data
 
     def bwd():
         g = out.grad
         if a.requires_grad:
-            _accum(a, _fold(grad_a(g, av, bv), kind == "a_channel"))
+            _accum(a, grad_a(g, av, bv))
         if b.requires_grad:
-            _accum(b, _fold(grad_b(g, av, bv), kind == "b_channel"))
+            gb = grad_b(g, av, bv)
+            _accum(b, gb.sum(axis=(0, 2, 3)) if channel else gb)
 
     out = _result(fn(av, bv), (a, b), bwd)
     return out
@@ -222,9 +187,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    if not isinstance(b, Tensor):
-        c = float(b)
-        return _scalar_op(a, lambda d: d - a.dtype.type(c), lambda g, d, y: g)
     return _binary("sub", a, b, np.subtract, _pass_grad, lambda g, av, bv: -g)
 
 
@@ -509,9 +471,7 @@ def backward(loss):
             if id(p) not in visited:
                 stack.append((p, False))
 
-    loss.grad = np.ones((), dtype=loss.dtype) if loss.ndim == 0 else np.ones(
-        loss.shape, dtype=loss.dtype
-    )
+    loss.grad = np.ones(loss.shape, dtype=loss.dtype)
     for node in reversed(topo):
         if node._backward is not None:
             node._backward()

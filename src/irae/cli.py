@@ -25,7 +25,7 @@ from .model import save_checkpoint
 from .pnm import load_pnm, save_pnm
 from .train import history_lines, train
 
-__all__ = ["RunConfig", "parse_config_file", "serialize_config", "main"]
+__all__ = ["RunConfig", "parse_config_file", "main"]
 
 TASKS = ("denoise", "jpeg", "inpaint")
 
@@ -95,17 +95,6 @@ def parse_config_file(path):
             raise ValueError(f"{path}:{lineno}: config key {key}: {e}") from None
         setattr(cfg, key, value)
     return cfg
-
-
-def serialize_config(cfg):
-    """Inverse of parse_config_file: parse(serialize(cfg)) == cfg."""
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{f.name}={value}")
-    return "\n".join(lines) + "\n"
 
 
 def _degradation_spec(cfg, image_size):
@@ -256,6 +245,10 @@ def cmd_verify(args):
     _at_least_one(args, "trials")
     options = _apply_overrides(IraeConfig(), args)
     if args.checkpoint:
+        for name in ("flow_steps", "levels", "hidden_width", "in_channels"):
+            if getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"verify: {flag} cannot be used with --checkpoint")
         model = load_checkpoint(args.checkpoint)
         if args.precision:
             model = _recast_model(model, args.precision)

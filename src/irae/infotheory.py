@@ -46,9 +46,6 @@ class DiscreteJoint:
     def marginal_z(self):
         return self.table.sum(axis=0)
 
-    def transpose(self):
-        return DiscreteJoint(self.table.T)
-
 
 def entropy(p):
     """Shannon entropy in bits, with 0*log 0 = 0."""
@@ -94,10 +91,6 @@ class FiniteMap:
                 return False
             seen.add(z)
         return True
-
-    @property
-    def injective(self):
-        return self.injective_on(range(self.domain))
 
     def __call__(self, x):
         return self.mapping[x]

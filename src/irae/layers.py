@@ -1,8 +1,8 @@
 """Invertible building blocks: ActNorm, 1x1 convolution, affine coupling, squeeze.
 
 Every layer exposes a differentiable ``forward``, an exact ``inverse`` (run
-off the tape, in plain numpy), ``parameters()`` in a fixed order, and a
-log-determinant diagnostic whose finiteness witnesses invertibility.  The
+off the tape, on plain numpy arrays), ``parameters()`` in a fixed order, and
+a log-determinant diagnostic whose finiteness witnesses invertibility.  The
 diagnostic plays no role in the training loss.
 """
 
@@ -155,13 +155,12 @@ class ActNorm:
         return add(mul(x, self.scale), self.bias)
 
     def inverse(self, y):
-        """Exact inverse on an [N,C,H,W] array (or Tensor); returns an array."""
+        """Exact inverse on an [N,C,H,W] array; returns an array."""
         if not self.initialized:
             raise RuntimeError("ActNorm used before initialization")
-        data = y.data if isinstance(y, Tensor) else np.asarray(y)
         s = self.scale.data.reshape(1, -1, 1, 1)
         b = self.bias.data.reshape(1, -1, 1, 1)
-        return (data - b) / s
+        return (y - b) / s
 
     def log_det(self, h, w):
         """h*w * sum(log|s|); finite whenever every scale is nonzero."""
@@ -183,10 +182,8 @@ class InvertibleConv1x1:
     |det| = 1).  The inverse refuses when |det W| falls below 1e-12.
     """
 
-    def __init__(self, channels, rng=None, dtype=np.float32):
+    def __init__(self, channels, rng, dtype=np.float32):
         self.channels = channels
-        if rng is None:
-            rng = np.random.default_rng()
         w = random_orthogonal(channels, rng, dtype=dtype)
         self.weight = Tensor(w, requires_grad=True)
 
@@ -197,15 +194,14 @@ class InvertibleConv1x1:
         return conv2d_same(x, kernel)
 
     def inverse(self, y):
-        data = y.data if isinstance(y, Tensor) else np.asarray(y)
         lu, perm, sign = lu_factor(self.weight.data)
         if abs(lu_det(lu, sign)) <= DET_THRESHOLD:
             raise SingularWeightError(
                 f"1x1 convolution weight singular: |det| <= {DET_THRESHOLD}, cannot invert"
             )
         w_inv = lu_inverse(lu, perm).astype(self.weight.dtype)
-        n, c, h, wd = data.shape
-        return np.matmul(w_inv, data.reshape(n, c, h * wd)).reshape(n, c, h, wd)
+        n, c, h, wd = y.shape
+        return np.matmul(w_inv, y.reshape(n, c, h * wd)).reshape(n, c, h, wd)
 
     def log_det(self, h, w):
         lu, _, sign = lu_factor(self.weight.data)
@@ -237,11 +233,9 @@ class AffineCoupling:
     s = sigmoid(raw + 2), bounded in (0,1) and safely away from 0 at init.
     """
 
-    def __init__(self, channels, hidden, rng=None, dtype=np.float32):
+    def __init__(self, channels, hidden, rng, dtype=np.float32):
         if channels % 2 != 0:
             raise ValueError(f"coupling: channel count {channels} must be even")
-        if rng is None:
-            rng = np.random.default_rng()
         self.channels = channels
         self.hidden = hidden
         half = channels // 2
@@ -269,10 +263,9 @@ class AffineCoupling:
         return concat_channels(xa, yb)
 
     def inverse(self, y):
-        data = y.data if isinstance(y, Tensor) else np.asarray(y)
         half = self.channels // 2
-        ya = data[:, :half]
-        yb = data[:, half:]
+        ya = y[:, :half]
+        yb = y[:, half:]
         with no_grad():
             s, t = self._net(Tensor(ya))
         return np.concatenate([ya, (yb - t.data) / s.data], axis=1)
@@ -281,8 +274,7 @@ class AffineCoupling:
         """Per-sample sum of log s over the transformed half; shape [N]."""
         half = self.channels // 2
         with no_grad():
-            data = x.data if isinstance(x, Tensor) else np.asarray(x)
-            s, _ = self._net(Tensor(data[:, :half]))
+            s, _ = self._net(Tensor(x[:, :half]))
         return np.log(s.data.astype(np.float64)).sum(axis=(1, 2, 3))
 
     def parameters(self):
@@ -317,20 +309,16 @@ def unsqueeze_array(a):
 
 
 def squeeze(x):
-    out = _result(squeeze_array(x.data), (x,), None)
-
     def bwd():
         _accum(x, unsqueeze_array(out.grad))
 
-    out._backward = bwd if out.requires_grad else None
+    out = _result(squeeze_array(x.data), (x,), bwd)
     return out
 
 
 def unsqueeze(x):
-    out = _result(unsqueeze_array(x.data), (x,), None)
-
     def bwd():
         _accum(x, squeeze_array(out.grad))
 
-    out._backward = bwd if out.requires_grad else None
+    out = _result(unsqueeze_array(x.data), (x,), bwd)
     return out

@@ -322,7 +322,7 @@ def load_checkpoint(path):
     if len(blob) < _HEADER.size:
         raise CheckpointError(f"checkpoint truncated: {len(blob)} bytes is too short")
     (
-        magic,
+        _magic,
         version,
         flow_steps,
         levels,
@@ -334,8 +334,6 @@ def load_checkpoint(path):
         seed,
         count,
     ) = _HEADER.unpack_from(blob)
-    if magic != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad magic bytes {magic!r}, expected {CHECKPOINT_MAGIC!r}")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     if precision_code not in _CODE_PRECISIONS:
@@ -352,6 +350,13 @@ def load_checkpoint(path):
         config.validate()
     except ValueError as e:
         raise CheckpointError(f"checkpoint config invalid: {e}") from None
+    # compared before build(), which allocates whatever the header claims; the
+    # deepest level's 1x1 weights alone hold 16**levels scalars, so a count
+    # below 2**levels cannot match, and the formula's loop over levels stays short
+    if levels > count.bit_length() or count != param_count_formula(
+        flow_steps, levels, in_channels, hidden_width
+    ):
+        raise CheckpointError("parameter count does not match the stored config")
     wire = np.dtype(config.dtype).newbyteorder("<")
     payload = blob[_HEADER.size :]
     expected = count * wire.itemsize
@@ -361,8 +366,6 @@ def load_checkpoint(path):
         )
     model = build(config)
     params = model.parameters()
-    if sum(p.size for p in params) != count:
-        raise CheckpointError("parameter count does not match the stored config")
     values = np.frombuffer(payload, dtype=wire)
     ends = np.cumsum([p.size for p in params])
     arrays = [values[end - p.size : end].reshape(p.shape) for p, end in zip(params, ends)]

@@ -77,7 +77,7 @@ class TestElementwise:
     def test_mul_channel_broadcast(self):
         x = Tensor(np.array([3.0, 5.0]).reshape(1, 2, 1, 1))
         scale = Tensor([2.0, 10.0])
-        out = mul(scale, x)
+        out = mul(x, scale)
         assert np.array_equal(out.data.ravel(), [6.0, 50.0])
 
     def test_sub_and_abs(self):
@@ -247,6 +247,13 @@ class TestBackward:
         backward(loss)
         with pytest.raises(RuntimeError, match="consumed"):
             backward(loss)
+
+    def test_building_on_consumed_graph_rejected(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = mul(x, x)
+        backward(sum_all(y))
+        with pytest.raises(RuntimeError, match="already consumed"):
+            sigmoid(y)
 
     def test_independent_subgraphs_match_separate_backwards(self):
         rng = np.random.default_rng(4)

@@ -9,7 +9,7 @@ import pytest
 import irae.autodiff as autodiff
 import irae.cli as cli
 from irae.autodiff import Tensor
-from irae.cli import RunConfig, main, parse_config_file, serialize_config
+from irae.cli import RunConfig, main, parse_config_file
 from irae.model import IraeConfig, IraeModel, build, randomize_parameters, save_checkpoint
 from irae.pnm import load_pnm, save_pnm
 from synthimages import smooth_patches
@@ -22,14 +22,26 @@ def write_dataset(directory, images):
 
 
 class TestConfigFile:
-    def test_parse_serialize_parse_identical(self, tmp_path):
-        cfg = RunConfig(task="jpeg", sigma=12.5, blind=True, epochs_max=7, dataset_dir="x")
+    def test_literal_file_sets_every_key(self, tmp_path):
+        text = (
+            "task=jpeg\nflow_steps=3\nlevels=1\nhidden_width=8\nin_channels=3\n"
+            "precision=float64\nseed=5\nsigma=12.5\nblind=true\nsigma_lo=1.5\n"
+            "sigma_hi=40\nquality_factor=20\nmask_h=8\nmask_w=4\nepochs_max=7\n"
+            "batch_size=4\ndataset_dir=x\ncheckpoint=m.ckpt\noutput_dir=runs\n"
+        )
+        expected = RunConfig(
+            task="jpeg", flow_steps=3, levels=1, hidden_width=8, in_channels=3,
+            precision="float64", seed=5, sigma=12.5, blind=True, sigma_lo=1.5,
+            sigma_hi=40.0, quality_factor=20, mask_h=8, mask_w=4, epochs_max=7,
+            batch_size=4, dataset_dir="x", checkpoint="m.ckpt", output_dir="runs",
+        )
+        keys = [line.partition("=")[0] for line in text.splitlines()]
+        assert keys == [f.name for f in fields(RunConfig)]
+        for f in fields(RunConfig):
+            assert getattr(expected, f.name) != f.default, f.name
         path = tmp_path / "run.cfg"
-        path.write_text(serialize_config(cfg))
-        parsed = parse_config_file(path)
-        assert parsed == cfg
-        path.write_text(serialize_config(parsed))
-        assert parse_config_file(path) == parsed
+        path.write_text(text)
+        assert parse_config_file(path) == expected
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -133,6 +145,18 @@ class TestVerifyCommand:
         assert code != 0
         assert "PASS" not in captured.out
         assert "--trials" in captured.err
+
+    def test_checkpoint_refuses_model_flags(self, tmp_path, capsys):
+        model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4))
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(randomize_parameters(model, np.random.default_rng(0)), ckpt)
+        for flag in ("--flow-steps", "--levels", "--hidden-width", "--in-channels"):
+            code = main(["verify", "--checkpoint", ckpt, flag, "1", "--trials", "2"])
+            captured = capsys.readouterr()
+            assert code == 1, flag
+            assert "PASS" not in captured.out
+            assert flag in captured.err
+        assert main(["verify", "--checkpoint", ckpt, "--trials", "2", "--seed", "3"]) == 0
 
     def test_nan_round_trip_fails(self, monkeypatch, capsys):
         def nan_inverse(self, xhat):

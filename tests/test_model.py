@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import irae.model as model_module
 from irae.autodiff import Tensor, backward, finite_diff_grad, no_grad, sum_all
 from irae.layers import SingularWeightError, squeeze_array
 from irae.model import (
+    _HEADER,
     CheckpointError,
     IraeConfig,
     build,
@@ -213,6 +217,23 @@ class TestParamCount:
         assert model.param_count() == before
 
 
+# byte offsets of single fields in the "<4sIIIIIBBHQQ" header; the first three are u32
+OFFSETS = {"flow_steps": 8, "levels": 12, "hidden_width": 16, "precision_code": 24}
+
+
+# K=1 L=1 h=2, float32: 352 parameters behind the 44-byte header
+TINY_CKPT_CONFIG = tiny_config(hidden_width=2, precision="float32")
+TINY_CKPT_BYTES = _HEADER.size + 4 * param_count_formula(1, 1, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    model = randomize_parameters(build(TINY_CKPT_CONFIG), np.random.default_rng(19))
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.ckpt"
+    save_checkpoint(model, path)
+    return path, model
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         model = build(tiny_config(flow_steps=2, levels=2, hidden_width=6, precision="float32"))
@@ -259,6 +280,57 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field, value", [("levels", 200), ("flow_steps", 10**6), ("hidden_width", 10**5)]
+    )
+    def test_oversized_header_refused_before_build(self, tmp_path, monkeypatch, field, value):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build(tiny_config()), path)
+        blob = bytearray(path.read_bytes())
+        blob[OFFSETS[field] : OFFSETS[field] + 4] = value.to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+
+        def no_build(config):
+            pytest.fail(f"build() called for a corrupted header: {config}")
+
+        monkeypatch.setattr(model_module, "build", no_build)
+        with pytest.raises(CheckpointError, match="parameter count"):
+            load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(offset=st.integers(0, TINY_CKPT_BYTES - 1), value=st.integers(0, 255))
+    @example(offset=OFFSETS["precision_code"], value=7)  # unknown precision code
+    @example(offset=OFFSETS["flow_steps"], value=0)  # invalid stored config
+    @example(offset=OFFSETS["hidden_width"], value=3)  # parameter count mismatch
+    @example(offset=OFFSETS["levels"] + 3, value=255)  # levels > 4e9
+    @example(offset=TINY_CKPT_BYTES - 1, value=0x7F)  # last parameter's exponent byte
+    def test_any_corrupted_byte_fails_loudly_or_loads_finite(
+        self, tiny_checkpoint, offset, value
+    ):
+        path, model = tiny_checkpoint
+        blob = bytearray(path.read_bytes())
+        assert len(blob) == TINY_CKPT_BYTES
+        blob[offset] = value
+        corrupt = path.with_name("corrupt.ckpt")
+        corrupt.write_bytes(bytes(blob))
+        try:
+            loaded = load_checkpoint(corrupt)
+        except CheckpointError:
+            return
+        assert [p.shape for p in loaded.parameters()] == [p.shape for p in model.parameters()]
+        assert all(np.isfinite(p.data).all() for p in loaded.parameters())
+
+    @settings(max_examples=100, deadline=None)
+    @given(length=st.integers(0, TINY_CKPT_BYTES - 1))
+    @example(length=_HEADER.size - 1)  # header shorter than _HEADER.size
+    @example(length=4)  # the magic bytes alone
+    def test_any_truncation_fails_loudly(self, tiny_checkpoint, length):
+        path, _ = tiny_checkpoint
+        corrupt = path.with_name("truncated.ckpt")
+        corrupt.write_bytes(path.read_bytes()[:length])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(corrupt)
 
     def test_non_finite_payload_rejected(self, tmp_path):
         model = randomize_parameters(build(tiny_config()), np.random.default_rng(17))

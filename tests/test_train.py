@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import irae.train as train_module
-from irae.autodiff import Tensor, backward, finite_diff_grad, sum_all
+from irae.autodiff import Tensor, backward, finite_diff_grad, mul, sum_all
 from irae.degrade import DegradationSpec
 from irae.metrics import psnr
 from irae.model import IraeConfig, build
@@ -217,8 +217,12 @@ class TestTrainLoop:
         # val split under the recorded protocol reproduces the best PSNR
         assert history, "training must record epochs"
 
-    def test_nan_validation_psnr_stops_at_best_finite_epoch(self, monkeypatch):
-        images = smooth_patches(20, 8, np.random.default_rng(20))  # 2 validation images
+    @staticmethod
+    def check_stops_at_epoch_1(monkeypatch, name, wrap):
+        """Train 3 epochs with train_module.<name> replaced by
+        wrap(original, call_number, *args): only epoch 1 may be recorded, and
+        the model must come back with epoch 1's parameters."""
+        images = smooth_patches(20, 8, np.random.default_rng(20))  # 2 val, 3 batches
         spec = DegradationSpec(kind="awgn", sigma=15.0)
 
         def run(epochs_max):
@@ -226,17 +230,40 @@ class TestTrainLoop:
             return train(model, images, spec, epochs_max=epochs_max, batch_size=8, seed=22)
 
         epoch1_model, _ = run(1)
+        original = getattr(train_module, name)
         calls = []
 
-        def psnr_nan_in_epoch_2(restored, reference):
+        def patched(*args):
             calls.append(None)
-            return math.nan if 2 < len(calls) <= 4 else psnr(restored, reference)
+            return wrap(original, len(calls), *args)
 
-        monkeypatch.setattr(train_module, "psnr", psnr_nan_in_epoch_2)
+        monkeypatch.setattr(train_module, name, patched)
         model, history = run(3)
         assert len(history) == 1 and math.isfinite(history[0].val_psnr)
         for p, q in zip(model.parameters(), epoch1_model.parameters()):
             assert np.array_equal(p.data, q.data)
+
+    def test_nan_validation_psnr_stops_at_best_finite_epoch(self, monkeypatch):
+        def nan_in_epoch_2(psnr, n, restored, reference):
+            return math.nan if 2 < n <= 4 else psnr(restored, reference)
+
+        self.check_stops_at_epoch_1(monkeypatch, "psnr", nan_in_epoch_2)
+
+    def test_nan_loss_stops_at_best_finite_epoch(self, monkeypatch):
+        # the second batch of epoch 2, so one Adam step of epoch 2 must be undone
+        def nan_at_batch_5(l1_loss, n, restored, reference):
+            loss = l1_loss(restored, reference)
+            return mul(loss, math.nan) if n == 5 else loss
+
+        self.check_stops_at_epoch_1(monkeypatch, "l1_loss", nan_at_batch_5)
+
+    def test_non_finite_gradient_stops_at_best_finite_epoch(self, monkeypatch):
+        def nan_grad_at_step_5(adam_step, n, params, grads, state, lr):
+            if n == 5:
+                grads = [np.full_like(grads[0], np.nan)] + grads[1:]
+            return adam_step(params, grads, state, lr)
+
+        self.check_stops_at_epoch_1(monkeypatch, "adam_step", nan_grad_at_step_5)
 
     def test_empty_dataset_rejected(self):
         model = build(tiny_config())
