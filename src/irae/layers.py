@@ -36,9 +36,6 @@ __all__ = [
     "unsqueeze",
     "squeeze_array",
     "unsqueeze_array",
-    "lu_factor",
-    "lu_det",
-    "lu_inverse",
 ]
 
 DET_THRESHOLD = 1e-12
@@ -50,8 +47,8 @@ class SingularWeightError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Partial-pivot LU, used for the 1x1 convolution inverse and determinant.
-# Explicit failure on a singular matrix beats silent garbage.
+# Partial-pivot LU.  No model code calls these; they stay only because the
+# benchmark's span tracer (bench/spans.py) names them and tests cover them.
 # ---------------------------------------------------------------------------
 
 
@@ -179,7 +176,8 @@ class InvertibleConv1x1:
     """Per-pixel channel mix y[:,:,i,j] = W @ x[:,:,i,j], W square learnable.
 
     Initialized to a random orthogonal matrix (invertible by construction,
-    |det| = 1).  The inverse refuses when |det W| falls below 1e-12.
+    |det| = 1).  The inverse refuses when |det W| falls below 1e-12 or an
+    entry of W is not finite.
     """
 
     def __init__(self, channels, rng, dtype=np.float32):
@@ -193,19 +191,33 @@ class InvertibleConv1x1:
         kernel = reshape(self.weight, (self.channels, self.channels, 1, 1))
         return conv2d_same(x, kernel)
 
+    def _slogdet(self):
+        """W cast to float64, log|det W|, and whether the inverse may use W.
+
+        W is refused when an entry is not finite (slogdet warns on NaN and
+        passes inf) or when |det W| <= DET_THRESHOLD; a singular W has sign 0
+        and log|det W| = -inf.
+        """
+        w = self.weight.data.astype(np.float64)
+        if not np.isfinite(w).all():
+            return w, np.nan, False
+        sign, logabsdet = np.linalg.slogdet(w)
+        return w, float(logabsdet), bool(sign != 0 and logabsdet > np.log(DET_THRESHOLD))
+
     def inverse(self, y):
-        lu, perm, sign = lu_factor(self.weight.data)
-        if abs(lu_det(lu, sign)) <= DET_THRESHOLD:
+        w, _, invertible = self._slogdet()
+        if not invertible:
             raise SingularWeightError(
-                f"1x1 convolution weight singular: |det| <= {DET_THRESHOLD}, cannot invert"
+                f"1x1 convolution weight singular: |det| <= {DET_THRESHOLD} "
+                "or an entry not finite, cannot invert"
             )
-        w_inv = lu_inverse(lu, perm).astype(self.weight.dtype)
+        w_inv = np.linalg.inv(w).astype(self.weight.dtype)
         n, c, h, wd = y.shape
         return np.matmul(w_inv, y.reshape(n, c, h * wd)).reshape(n, c, h, wd)
 
     def log_det(self, h, w):
-        lu, _, sign = lu_factor(self.weight.data)
-        return float(h * w * np.log(abs(lu_det(lu, sign))))
+        """h*w * log|det W|: -inf for a singular W, NaN for a non-finite one."""
+        return h * w * self._slogdet()[1]
 
     def parameters(self):
         return [self.weight]

@@ -1,12 +1,17 @@
 """Invertible-layer checks: round trips, permutation structure, gradients."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irae.autodiff import Tensor, backward, finite_diff_grad, no_grad, sum_all, tanh
 from irae.layers import (
     ActNorm,
     AffineCoupling,
+    DET_THRESHOLD,
     InvertibleConv1x1,
     SingularWeightError,
     lu_det,
@@ -138,6 +143,27 @@ class TestActNorm:
             leaf.grad = None
 
 
+def conv1x1_with(weight, dtype=np.float64):
+    layer = InvertibleConv1x1(len(weight), rng=np.random.default_rng(0), dtype=dtype)
+    layer.weight.data[...] = weight
+    return layer
+
+
+@st.composite
+def conv1x1_cases(draw):
+    """(layer, x): W = scale * U diag(sv) V^T with U, V random orthogonal and
+    singular values sv in [0.5, 2], so cond(W) <= 4 at every scale in
+    [1e-4, 1e4]; C in 1..64, either dtype, x a random [N, C, H, W] input."""
+    c = draw(st.integers(1, 64))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    scale = 10.0 ** draw(st.floats(-4.0, 4.0))
+    n, h, wd = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, v = random_orthogonal(c, rng), random_orthogonal(c, rng)
+    weight = scale * (u * rng.uniform(0.5, 2.0, c)) @ v
+    return conv1x1_with(weight, dtype), rng.standard_normal((n, c, h, wd)).astype(dtype)
+
+
 class TestInvertibleConv1x1:
     def test_identity_weight(self):
         layer = InvertibleConv1x1(3, rng=np.random.default_rng(8), dtype=np.float64)
@@ -173,6 +199,52 @@ class TestInvertibleConv1x1:
         layer.forward(Tensor(x))  # forward still runs; training may continue
         with pytest.raises(SingularWeightError, match="singular"):
             layer.inverse(x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_refuses_inverse(self, bad, dtype):
+        weight = np.eye(3)
+        weight[1, 2] = bad
+        with pytest.raises(SingularWeightError, match="not finite"):
+            conv1x1_with(weight, dtype).inverse(np.zeros((1, 3, 2, 2), dtype=dtype))
+
+    def test_log_det_finite_when_pivot_product_overflows(self):
+        # det W = 1, but the product of the pivots passes 1e384 on the way
+        layer = conv1x1_with(np.diag([1e4] * 96 + [1e-4] * 96))
+        assert abs(layer.log_det(1, 1)) < 1e-9
+
+    def test_log_det_of_scaled_identity(self):
+        layer = conv1x1_with(100.0 * np.eye(192))
+        assert layer.log_det(1, 1) == pytest.approx(192 * np.log(100.0), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "weight",
+        [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0, 2.0], [3.0, 0.0, 4.0], [5.0, 0.0, 6.0]]],
+        ids=["equal-rows", "zero-column"],
+    )
+    def test_rank_deficient_log_det_is_minus_inf_without_warning(self, weight):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert conv1x1_with(np.array(weight)).log_det(2, 2) == -np.inf
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=conv1x1_cases())
+    def test_random_well_conditioned_weights(self, case):
+        """Refuses exactly when the float64 reference |det W| <= DET_THRESHOLD;
+        otherwise inverse(forward(x)) == x and log_det matches the reference."""
+        layer, x = case
+        _, _, h, w = x.shape
+        det = np.linalg.det(layer.weight.data.astype(np.float64))
+        if abs(det) <= DET_THRESHOLD:
+            with pytest.raises(SingularWeightError):
+                layer.inverse(x)
+            return
+        tol = 1e-4 if x.dtype == np.float32 else 1e-10
+        back = layer.inverse(layer.forward(Tensor(x)).data)
+        assert back.dtype == x.dtype
+        assert np.max(np.abs(back - x)) <= tol * max(1.0, np.max(np.abs(x)))
+        expected = h * w * np.log(abs(det))
+        assert layer.log_det(h, w) == pytest.approx(expected, rel=1e-9, abs=1e-9 * h * w)
 
     def test_gradients(self):
         rng = np.random.default_rng(14)

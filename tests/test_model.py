@@ -147,6 +147,39 @@ class TestForwardInverse:
             err = np.max(np.abs(model.inverse(out).data - x.astype(np.float32)))
             assert err < 1e-4
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        flow_steps=st.integers(1, 3),
+        levels=st.integers(1, 2),
+        hidden_width=st.integers(1, 16),
+        in_channels=st.sampled_from([1, 3]),
+        precision=st.sampled_from(["float32", "float64"]),
+        batch=st.integers(1, 2),
+        blocks=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_config_round_trip(
+        self, flow_steps, levels, hidden_width, in_channels, precision, batch, blocks, seed
+    ):
+        """inverse(forward(x)) == x within the README bounds; H and W are
+        drawn as multiples of 2**levels."""
+        cfg = IraeConfig(
+            flow_steps=flow_steps,
+            levels=levels,
+            hidden_width=hidden_width,
+            in_channels=in_channels,
+            precision=precision,
+            seed=seed,
+        )
+        rng = np.random.default_rng(seed)
+        model = randomize_parameters(build(cfg), rng)
+        h, w = (2**levels * b for b in blocks)
+        x = rng.uniform(0, 1, (batch, in_channels, h, w))
+        with no_grad():
+            out = model.forward(x)
+        err = np.max(np.abs(model.inverse(out).data - x.astype(cfg.dtype)))
+        assert err < {"float32": 1e-4, "float64": 1e-8}[precision]
+
     def test_injectivity_witness_on_random_pairs(self):
         model = build(tiny_config(flow_steps=2, levels=1, hidden_width=8, seed=8))
         randomize_parameters(model, np.random.default_rng(9))
