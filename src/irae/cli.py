@@ -21,7 +21,7 @@ from .degrade import DegradationSpec
 from .infotheory import FiniteMap, iter_all_maps, information_preservation_check
 from .metrics import MetricReport, psnr, ssim
 from .model import PRECISION_DTYPES, IraeConfig, build, load_checkpoint, randomize_parameters
-from .model import save_checkpoint
+from .model import _assemble, save_checkpoint
 from .pnm import load_pnm, save_pnm
 from .train import history_lines, train
 
@@ -30,6 +30,10 @@ __all__ = ["RunConfig", "parse_config_file", "main"]
 TASKS = ("denoise", "jpeg", "inpaint")
 
 ROUND_TRIP_BOUNDS = {"float32": 1e-4, "float64": 1e-8}
+
+# verify runs its trials in batches of this many pixels per channel (at least
+# one trial), so a batch holds no more activations than sixteen 32x32 trials
+_VERIFY_BATCH_PIXELS = 2**14
 
 
 @dataclass
@@ -236,13 +240,14 @@ def _recast_model(model, precision):
     """Same parameters, different float width (conditioning diagnostics)."""
     if precision == model.config.precision:
         return model
-    recast = build(replace(model.config, precision=precision))
+    recast = _assemble(replace(model.config, precision=precision), None)
     recast.restore(model.snapshot())
     return recast
 
 
 def cmd_verify(args):
     _at_least_one(args, "trials")
+    size = _at_least_one(args, "size")
     options = _apply_overrides(IraeConfig(), args)
     if args.checkpoint:
         for name in ("flow_steps", "levels", "hidden_width", "in_channels"):
@@ -256,11 +261,13 @@ def cmd_verify(args):
         model = build(options)
         randomize_parameters(model, np.random.default_rng(options.seed))
     cfg = model.config
-    size = args.size
     rng = np.random.default_rng(options.seed + 1)
+    batch = max(1, _VERIFY_BATCH_PIXELS // size**2)
     worst = 0.0
-    for _ in range(args.trials):
-        x = rng.uniform(0.0, 1.0, (1, cfg.in_channels, size, size))
+    for start in range(0, args.trials, batch):
+        # one draw of n trials gives the same numbers as n draws of one trial
+        n = min(batch, args.trials - start)
+        x = rng.uniform(0.0, 1.0, (n, cfg.in_channels, size, size))
         with no_grad():
             restored = model.forward(x)
         back = model.inverse(restored)

@@ -176,13 +176,17 @@ class InvertibleConv1x1:
     """Per-pixel channel mix y[:,:,i,j] = W @ x[:,:,i,j], W square learnable.
 
     Initialized to a random orthogonal matrix (invertible by construction,
-    |det| = 1).  The inverse refuses when |det W| falls below 1e-12 or an
+    |det| = 1), or to the identity when rng is None (the caller restores
+    real values).  The inverse refuses when |det W| falls below 1e-12 or an
     entry of W is not finite.
     """
 
     def __init__(self, channels, rng, dtype=np.float32):
         self.channels = channels
-        w = random_orthogonal(channels, rng, dtype=dtype)
+        if rng is None:
+            w = np.eye(channels, dtype=dtype)
+        else:
+            w = random_orthogonal(channels, rng, dtype=dtype)
         self.weight = Tensor(w, requires_grad=True)
 
     def forward(self, x):
@@ -229,7 +233,7 @@ class InvertibleConv1x1:
 
 
 def _conv_param(c_out, c_in, k, rng, dtype, zero=False):
-    if zero:
+    if zero or rng is None:
         w = np.zeros((c_out, c_in, k, k), dtype=dtype)
     else:
         w = (rng.standard_normal((c_out, c_in, k, k)) / np.sqrt(c_in * k * k)).astype(dtype)
@@ -243,6 +247,7 @@ class AffineCoupling:
     -> conv3x3(h->C) with the final convolution zero-initialized, so the
     coupling starts as the identity map scaled by sigma(2).  The scale is
     s = sigmoid(raw + 2), bounded in (0,1) and safely away from 0 at init.
+    With rng None every convolution starts at zero and nothing is drawn.
     """
 
     def __init__(self, channels, hidden, rng, dtype=np.float32):

@@ -221,7 +221,13 @@ def build(config):
     every ActNorm is flagged uninitialized until the first batch.
     """
     config.validate()
-    rng = np.random.default_rng(config.seed)
+    return _assemble(config, np.random.default_rng(config.seed))
+
+
+def _assemble(config, rng):
+    """The model's layers, initialized from rng in build's draw order; with
+    rng None nothing is drawn (identity 1x1 weights, zero convs), for callers
+    that restore every parameter straight afterwards."""
 
     def level(index):
         channels = config.in_channels * 4**index
@@ -358,13 +364,13 @@ def load_checkpoint(path):
     ):
         raise CheckpointError("parameter count does not match the stored config")
     wire = np.dtype(config.dtype).newbyteorder("<")
-    payload = blob[_HEADER.size :]
+    payload = memoryview(blob)[_HEADER.size :]  # no copy of the parameter bytes
     expected = count * wire.itemsize
     if len(payload) != expected:
         raise CheckpointError(
             f"checkpoint payload is {len(payload)} bytes, expected {expected}"
         )
-    model = build(config)
+    model = _assemble(config, None)
     params = model.parameters()
     values = np.frombuffer(payload, dtype=wire)
     ends = np.cumsum([p.size for p in params])

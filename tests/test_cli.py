@@ -8,9 +8,17 @@ import pytest
 
 import irae.autodiff as autodiff
 import irae.cli as cli
+import irae.layers as layers
 from irae.autodiff import Tensor
 from irae.cli import RunConfig, main, parse_config_file
-from irae.model import IraeConfig, IraeModel, build, randomize_parameters, save_checkpoint
+from irae.model import (
+    IraeConfig,
+    IraeModel,
+    build,
+    load_checkpoint,
+    randomize_parameters,
+    save_checkpoint,
+)
 from irae.pnm import load_pnm, save_pnm
 from synthimages import smooth_patches
 
@@ -145,6 +153,79 @@ class TestVerifyCommand:
         assert code != 0
         assert "PASS" not in captured.out
         assert "--trials" in captured.err
+
+    @pytest.mark.parametrize("size", ["0", "-4"])
+    def test_size_below_one_refused(self, size, capsys):
+        code = main(
+            ["verify", "--flow-steps", "1", "--levels", "1", "--hidden-width", "4", "--size", size]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "PASS" not in captured.out
+        assert "--size" in captured.err
+
+    def test_checkpoint_loads_and_verifies_without_random_init(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        model = build(IraeConfig(flow_steps=2, levels=1, hidden_width=4))
+        randomize_parameters(model, np.random.default_rng(3))
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(model, ckpt)
+
+        def no_draw(*args, **kwargs):
+            pytest.fail("random 1x1 init drawn for a model whose parameters are restored")
+
+        monkeypatch.setattr(layers, "random_orthogonal", no_draw)
+        loaded = load_checkpoint(ckpt)
+        for a, b in zip(model.parameters(), loaded.parameters()):
+            assert np.array_equal(a.data, b.data)
+        code = main(["verify", "--checkpoint", ckpt, "--trials", "2", "--precision", "float64"])
+        assert code == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def record_forward_inputs(self, monkeypatch):
+        seen = []
+        forward = IraeModel.forward
+
+        def recording_forward(model, y):
+            seen.append(np.array(y))
+            return forward(model, y)
+
+        monkeypatch.setattr(IraeModel, "forward", recording_forward)
+        return seen
+
+    def test_trials_run_in_batches_of_the_same_draws(self, monkeypatch, capsys):
+        seen = self.record_forward_inputs(monkeypatch)
+        code = main(
+            ["verify", "--flow-steps", "1", "--levels", "1", "--hidden-width", "2",
+             "--trials", "17", "--size", "32", "--seed", "5"]
+        )
+        assert code == 0
+        assert "over 17 trials" in capsys.readouterr().out
+        assert [x.shape[0] for x in seen] == [16, 1]
+        want = np.random.default_rng(5 + 1).uniform(0.0, 1.0, (17, 1, 32, 32))
+        assert np.array_equal(np.concatenate(seen), want)
+
+    def test_nan_in_last_trial_of_last_batch_fails(self, monkeypatch, capsys):
+        seen = self.record_forward_inputs(monkeypatch)
+        inverse = IraeModel.inverse
+        trials = 20
+
+        def nan_in_last_trial(model, xhat):
+            out = inverse(model, xhat)
+            if sum(x.shape[0] for x in seen) == trials:
+                out.data[-1, 0, -1, -1] = np.nan
+            return out
+
+        monkeypatch.setattr(IraeModel, "inverse", nan_in_last_trial)
+        code = main(
+            ["verify", "--flow-steps", "1", "--levels", "1", "--hidden-width", "2",
+             "--trials", str(trials), "--size", "32"]
+        )
+        out = capsys.readouterr().out
+        assert [x.shape[0] for x in seen] == [16, 4]
+        assert code == 2
+        assert "nan" in out and "FAIL" in out
 
     def test_checkpoint_refuses_model_flags(self, tmp_path, capsys):
         model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4))

@@ -1,5 +1,8 @@
 """Whole-model checks: shape chain, determinism, round trips, checkpoints."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -259,6 +262,12 @@ TINY_CKPT_CONFIG = tiny_config(hidden_width=2, precision="float32")
 TINY_CKPT_BYTES = _HEADER.size + 4 * param_count_formula(1, 1, 1, 2)
 
 
+# SHA-256 of save_checkpoint(build(PINNED_CONFIG)): pins build's draws and their order
+PINNED_CONFIG = tiny_config(flow_steps=2, levels=2, hidden_width=6, in_channels=3,
+                            precision="float32", seed=7)
+PINNED_DIGEST = "0ef003d3b88b7177f4221f5740dfa061b406f234d0ee55995f88aa8ceae1d106"
+
+
 @pytest.fixture(scope="module")
 def tiny_checkpoint(tmp_path_factory):
     model = randomize_parameters(build(TINY_CKPT_CONFIG), np.random.default_rng(19))
@@ -324,10 +333,11 @@ class TestCheckpoint:
         blob[OFFSETS[field] : OFFSETS[field] + 4] = value.to_bytes(4, "little")
         path.write_bytes(bytes(blob))
 
-        def no_build(config):
-            pytest.fail(f"build() called for a corrupted header: {config}")
+        def no_build(config, rng=None):
+            pytest.fail(f"model assembled for a corrupted header: {config}")
 
         monkeypatch.setattr(model_module, "build", no_build)
+        monkeypatch.setattr(model_module, "_assemble", no_build)
         with pytest.raises(CheckpointError, match="parameter count"):
             load_checkpoint(path)
 
@@ -402,3 +412,64 @@ class TestCheckpoint:
         path = tmp_path / "fresh.ckpt"
         save_checkpoint(model, path)
         assert not load_checkpoint(path).actnorms_initialized
+
+    def test_load_peak_memory_near_file_size(self, tmp_path):
+        """The payload is read in place: the peak is the file bytes plus the
+        parameters, about twice the file, with no copy of the payload."""
+        model = build(IraeConfig(flow_steps=4, levels=2, hidden_width=29, in_channels=3))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        size = path.stat().st_size
+        assert size >= 2**20
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.param_count() == model.param_count()
+        assert peak <= 2.2 * size, f"peak {peak / size:.2f}x the file size"
+
+    def test_build_draw_order_pinned(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build(PINNED_CONFIG), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DIGEST
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        flow_steps=st.integers(1, 3),
+        levels=st.integers(1, 2),
+        hidden_width=st.integers(1, 16),
+        in_channels=st.sampled_from([1, 3]),
+        precision=st.sampled_from(["float32", "float64"]),
+        initialized=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_save_load_is_identity(
+        self, tmp_path_factory, flow_steps, levels, hidden_width, in_channels, precision,
+        initialized, seed,
+    ):
+        """Loading gives back the config, every parameter bit and the ActNorm
+        flag, and saving the loaded model writes the same bytes again."""
+        cfg = IraeConfig(
+            flow_steps=flow_steps,
+            levels=levels,
+            hidden_width=hidden_width,
+            in_channels=in_channels,
+            precision=precision,
+            seed=seed,
+        )
+        model = randomize_parameters(build(cfg), np.random.default_rng(seed))
+        for step in model._steps():
+            step.norm.initialized = initialized
+        directory = tmp_path_factory.getbasetemp()
+        first, second = directory / "identity-a.ckpt", directory / "identity-b.ckpt"
+        save_checkpoint(model, first)
+        loaded = load_checkpoint(first)
+        assert loaded.config == cfg
+        assert loaded.actnorms_initialized == initialized
+        for a, b in zip(model.parameters(), loaded.parameters(), strict=True):
+            assert a.data.dtype == b.data.dtype
+            assert a.data.tobytes() == b.data.tobytes()
+        save_checkpoint(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
