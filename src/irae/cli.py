@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import no_grad
 from .degrade import DegradationSpec
 from .infotheory import FiniteMap, iter_all_maps, information_preservation_check
-from .metrics import MetricReport, psnr, ssim
+from .metrics import psnr, ssim
 from .model import PRECISION_DTYPES, IraeConfig, build, load_checkpoint, randomize_parameters
 from .model import _assemble, save_checkpoint
 from .pnm import load_pnm, save_pnm
@@ -187,8 +187,7 @@ def cmd_train(args):
 
 
 def _restore_one(model, src, dst):
-    restored = model.forward(load_pnm(src)[None]).data[0]
-    save_pnm(dst, np.clip(restored, 0.0, 1.0))
+    save_pnm(dst, model.forward(load_pnm(src)[None]).data[0])
 
 
 def cmd_restore(args):
@@ -220,16 +219,16 @@ def cmd_eval(args):
     names = sorted(restored_paths)
 
     def score(name):
-        a = np.clip(load_pnm(restored_paths[name]), 0.0, 1.0)
-        b = np.clip(load_pnm(reference_paths[name]), 0.0, 1.0)
+        a = load_pnm(restored_paths[name])
+        b = load_pnm(reference_paths[name])
         return name, psnr(a, b), ssim(a, b)
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         rows = list(pool.map(score, names))
-    report = MetricReport()
-    for name, p, s in rows:
-        report.add(name, p, s)
-    table = report.table()
+    _, psnrs, ssims = zip(*rows)
+    lines = ["image\tpsnr_db\tssim"] + [f"{n}\t{p:.4f}\t{s:.4f}" for n, p, s in rows]
+    lines.append(f"mean\t{np.mean(psnrs):.4f}\t{np.mean(ssims):.4f}")
+    table = "\n".join(lines)
     print(table)
     if args.output:
         Path(args.output).write_text(table + "\n")

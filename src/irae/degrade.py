@@ -9,6 +9,7 @@ clipped; clipping is an export concern.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,11 +68,12 @@ class DegradationSpec:
     def validate(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown degradation kind {self.kind!r}; choose from {KINDS}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        # written so that NaN fails each comparison
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         lo, hi = self.sigma_range
-        if lo > hi or lo < 0:
-            raise ValueError(f"bad sigma_range {self.sigma_range}")
+        if not 0 <= lo <= hi < math.inf:
+            raise ValueError(f"bad sigma_range {self.sigma_range}: need finite 0 <= lo <= hi")
         if not 1 <= self.quality_factor <= 100:
             raise ValueError(f"quality factor must be in 1..100, got {self.quality_factor}")
         mh, mw = self.mask_size
@@ -118,34 +120,27 @@ def quant_table(quality_factor):
     return np.clip(np.floor((BASE_QUANT_TABLE * scale + 50.0) / 100.0), 1.0, 255.0)
 
 
-def _jpeg_plane(plane, q):
-    h, w = plane.shape
-    hp = -h % 8
-    wp = -w % 8
-    padded = np.pad(plane, ((0, hp), (0, wp)), mode="edge")
-    ph, pw = padded.shape
-    # level-shifted 0-255 blocks, 2-D DCT, quantize/dequantize, inverse DCT
-    blocks = (padded * 255.0 - 128.0).reshape(ph // 8, 8, pw // 8, 8).transpose(0, 2, 1, 3)
-    coeff = _DCT8 @ blocks @ _DCT8.T
-    coeff = np.round(coeff / q) * q
-    recon = _DCT8.T @ coeff @ _DCT8
-    out = (recon.transpose(0, 2, 1, 3).reshape(ph, pw) + 128.0) / 255.0
-    return np.clip(out[:h, :w], 0.0, 1.0)
-
-
 def apply_jpeg_sim(x, quality_factor):
     """Block-DCT quantization round trip over 8x8 tiles, per channel.
 
     An in-process stand-in for a JPEG codec: same frequency-domain loss
-    profile, bit-exact reproducibility, no bitstream.
+    profile, bit-exact reproducibility, no bitstream.  Edge padding fills
+    each plane out to whole tiles and is cropped off again.
     """
     q = quant_table(quality_factor)
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 2:
-        return _jpeg_plane(arr, q)
-    if arr.ndim == 3:
-        return np.stack([_jpeg_plane(plane, q) for plane in arr])
-    raise ValueError(f"expected (H,W) or (C,H,W) image, got shape {arr.shape}")
+    if arr.ndim not in (2, 3):
+        raise ValueError(f"expected (H,W) or (C,H,W) image, got shape {arr.shape}")
+    *lead, h, w = arr.shape
+    padded = np.pad(arr, [(0, 0)] * len(lead) + [(0, -h % 8), (0, -w % 8)], mode="edge")
+    ph, pw = padded.shape[-2:]
+    # level-shifted 0-255 blocks, 2-D DCT, quantize/dequantize, inverse DCT
+    blocks = (padded * 255.0 - 128.0).reshape(*lead, ph // 8, 8, pw // 8, 8).swapaxes(-3, -2)
+    coeff = _DCT8 @ blocks @ _DCT8.T
+    coeff = np.round(coeff / q) * q
+    recon = _DCT8.T @ coeff @ _DCT8
+    out = (recon.swapaxes(-3, -2).reshape(padded.shape) + 128.0) / 255.0
+    return np.clip(out[..., :h, :w], 0.0, 1.0)
 
 
 def make_inpaint_mask(image_size, mask_size, rng):

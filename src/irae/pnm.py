@@ -64,9 +64,7 @@ def load_pnm(path):
     if trailing.strip():
         raise ValueError(f"{path}: {len(trailing)} unexpected bytes after pixel data")
     pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    if channels == 1:
-        return pixels.reshape(1, height, width)
-    return pixels.reshape(height, width, 3).transpose(2, 0, 1)
+    return pixels.reshape(height, width, channels).transpose(2, 0, 1)
 
 
 def save_pnm(path, image):
@@ -80,9 +78,5 @@ def save_pnm(path, image):
     channels, height, width = data.shape
     magic = b"P5" if channels == 1 else b"P6"
     header = magic + f"\n{width} {height}\n255\n".encode("ascii")
-    if channels == 1:
-        payload = data[0].tobytes()
-    else:
-        payload = data.transpose(1, 2, 0).tobytes()
     with open(path, "wb") as f:
-        f.write(header + payload)
+        f.write(header + data.transpose(1, 2, 0).tobytes())

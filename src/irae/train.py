@@ -31,7 +31,6 @@ DECAY = 0.2
 STOP_THRESHOLD = 1e-6
 
 __all__ = [
-    "TrainingPair",
     "NonFiniteGradError",
     "AdamState",
     "adam_step",
@@ -42,20 +41,6 @@ __all__ = [
     "EpochRecord",
     "history_lines",
 ]
-
-
-@dataclass
-class TrainingPair:
-    """One ground-truth image x and its corrupted counterpart y."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        if self.x.shape != self.y.shape:
-            raise ValueError(f"pair shape mismatch: {self.x.shape} vs {self.y.shape}")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise ValueError("pair contains non-finite values")
 
 
 class NonFiniteGradError(RuntimeError):
@@ -87,22 +72,16 @@ class AdamState:
 
 
 def adam_step(params, grads, state, lr):
-    """Standard bias-corrected Adam update, applied in place.
-
-    grads may contain None for parameters untouched by the last backward
-    (treated as zero gradient, i.e. no update contribution).
-    """
+    """Standard bias-corrected Adam update, applied in place."""
     if len(params) != len(grads):
         raise ValueError("adam_step: params and grads length mismatch")
     for g in grads:
-        if g is not None and not np.all(np.isfinite(g)):
+        if not np.all(np.isfinite(g)):
             raise NonFiniteGradError("non-finite gradient; aborting epoch")
     state.t += 1
     bc1 = 1.0 - BETA1**state.t
     bc2 = 1.0 - BETA2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g is None:
-            g = np.zeros_like(p.data)
         m[...] = BETA1 * m + (1.0 - BETA1) * g
         v[...] = BETA2 * v + (1.0 - BETA2) * (g * g)
         m_hat = m / bc1
@@ -163,25 +142,25 @@ def history_lines(history):
     ]
 
 
-def _validate(model, val_pairs, batch_size):
+def _validate(model, xs, ys, batch_size):
+    """Mean PSNR of the model's clipped restorations of ys against xs."""
     scores = []
     with no_grad():
-        for start in range(0, len(val_pairs), batch_size):
-            chunk = val_pairs[start : start + batch_size]
-            ys = np.stack([p.y for p in chunk])
-            restored = np.clip(model.forward(ys).data, 0.0, 1.0)
-            for r, pair in zip(restored, chunk):
-                scores.append(psnr(r, pair.x))
+        for start in range(0, len(ys), batch_size):
+            batch = slice(start, start + batch_size)
+            restored = np.clip(model.forward(np.stack(ys[batch])).data, 0.0, 1.0)
+            scores += [psnr(r, x) for r, x in zip(restored, xs[batch])]
     return float(np.mean(scores))
 
 
 def train(model, images, spec, epochs_max, batch_size=16, seed=0):
     """Minimize the L1 restoration loss; returns (model, history).
 
-    images: list of (C,H,W) arrays in [0,1].  A 10% validation split (at
-    least one image) is held out, fixed by the seed, with its corruptions
-    drawn once so per-epoch PSNR is comparable.  Training corruptions are
-    redrawn every epoch for the stochastic kinds.  The model is left at the
+    images: list of (C,H,W) arrays in [0,1]; a non-finite pixel is refused
+    before any corruption is drawn.  A 10% validation split (at least one
+    image) is held out, fixed by the seed, with its corruptions drawn once
+    so per-epoch PSNR is comparable.  Training corruptions are redrawn every
+    epoch for the stochastic kinds.  The model is left at the
     best-validation-PSNR parameters.  A non-finite loss, gradient or
     validation PSNR stops training early: that epoch is not recorded, and
     the model goes back to the best finite epoch, if there is one.
@@ -189,18 +168,18 @@ def train(model, images, spec, epochs_max, batch_size=16, seed=0):
     if len(images) == 0:
         raise ValueError("train: dataset is empty")
     images = [np.asarray(x, dtype=np.float64) for x in images]
+    for i, x in enumerate(images):
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"train: image {i} contains non-finite values")
     replace(spec, image_size=images[0].shape[-2:]).validate()
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(images))
     n_val = max(1, len(images) // 10)
-    val_idx = order[:n_val]
-    train_idx = order[n_val:]
-    if len(train_idx) == 0:
+    train_images = [images[i] for i in order[n_val:]]
+    if len(train_images) == 0:
         raise ValueError("train: dataset too small to split")
-
-    val_images = [images[i] for i in val_idx]
-    val_pairs = [TrainingPair(x, degrade(x, spec, rng)) for x in val_images]
-    train_images = [images[i] for i in train_idx]
+    val_xs = [images[i] for i in order[:n_val]]
+    val_ys = [degrade(x, spec, rng) for x in val_xs]
 
     params = model.parameters()
     adam = AdamState.for_params(params)
@@ -214,16 +193,16 @@ def train(model, images, spec, epochs_max, batch_size=16, seed=0):
         lr, stop = run_schedule(epoch, last_val_psnr, sched)
         if stop:
             break
-        shuffled = [train_images[i] for i in rng.permutation(len(train_images))]
-        epoch_pairs = [TrainingPair(x, degrade(x, spec, rng)) for x in shuffled]
+        xs = [train_images[i] for i in rng.permutation(len(train_images))]
+        ys = [degrade(x, spec, rng) for x in xs]
 
         total = 0.0
         diverged = False
-        for start in range(0, len(epoch_pairs), batch_size):
-            chunk = epoch_pairs[start : start + batch_size]
-            ys = Tensor(np.stack([p.y for p in chunk]).astype(dtype))
-            xs = Tensor(np.stack([p.x for p in chunk]).astype(dtype))
-            loss = l1_loss(model.forward(ys), xs)
+        for start in range(0, len(xs), batch_size):
+            batch = slice(start, start + batch_size)
+            y = Tensor(np.stack(ys[batch]).astype(dtype))
+            x = Tensor(np.stack(xs[batch]).astype(dtype))
+            loss = l1_loss(model.forward(y), x)
             loss_val = loss.item()
             if not math.isfinite(loss_val):
                 diverged = True
@@ -237,12 +216,12 @@ def train(model, images, spec, epochs_max, batch_size=16, seed=0):
             finally:
                 for p in params:
                     p.grad = None
-            total += loss_val * len(chunk)
+            total += loss_val * x.shape[0]
         if diverged:
             break
 
-        train_loss = total / len(epoch_pairs)
-        val_psnr = _validate(model, val_pairs, batch_size)
+        train_loss = total / len(xs)
+        val_psnr = _validate(model, val_xs, val_ys, batch_size)
         if not math.isfinite(val_psnr):
             break
         history.append(EpochRecord(epoch, train_loss, val_psnr, lr))

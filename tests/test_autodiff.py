@@ -31,6 +31,7 @@ from irae.autodiff import (
     sum_all,
     tanh,
 )
+from irae.layers import squeeze, unsqueeze
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -396,3 +397,82 @@ class TestProperties:
         assert t.size == int(np.prod(t.shape))
         backward(sum_all(t))
         assert t.grad.shape == t.shape
+
+
+def _draw_step(data, rng, shape, leaves):
+    """One tape op that accepts an [N,C,H,W] input of this shape, with any
+    operands it needs appended to leaves: (op, output shape)."""
+    n, c, h, w = shape
+    names = ["sigmoid", "tanh", "add", "sub", "mul", "conv2d_same", "narrow_concat", "reshape"]
+    if h % 2 == 0 and w % 2 == 0:
+        names.append("squeeze")
+    if c % 4 == 0:
+        names.append("unsqueeze")
+    name = data.draw(st.sampled_from(names), label="op")
+
+    def leaf(*leaf_shape):
+        t = Tensor(rng.uniform(-1.0, 1.0, leaf_shape), requires_grad=True)
+        leaves.append(t)
+        return t
+
+    if name in ("sigmoid", "tanh"):
+        return {"sigmoid": sigmoid, "tanh": tanh}[name], shape
+    if name in ("add", "sub", "mul"):
+        binary = {"add": add, "sub": sub, "mul": mul}[name]
+        kinds = ["leaf", "channel"] if name == "sub" else ["leaf", "channel", "scalar"]
+        kind = data.draw(st.sampled_from(kinds), label="operand")
+        if kind == "scalar":
+            other = float(rng.uniform(-2.0, 2.0))
+        else:
+            other = leaf(*shape) if kind == "leaf" else leaf(c)
+        return (lambda x: binary(x, other)), shape
+    if name == "conv2d_same":
+        k = data.draw(st.sampled_from([1, 3]), label="k")
+        c_out = data.draw(st.integers(1, 4), label="c_out")
+        weight, bias = leaf(c_out, c, k, k), leaf(c_out)
+        return (lambda x: conv2d_same(x, weight, bias)), (n, c_out, h, w)
+    if name == "narrow_concat":
+        start = data.draw(st.integers(0, c - 1), label="start")
+        stop = data.draw(st.integers(start + 1, c), label="stop")
+        grown = (n, c + stop - start, h, w)
+        return (lambda x: concat_channels(narrow_channels(x, start, stop), x)), grown
+    if name == "squeeze":
+        return squeeze, (n, 4 * c, h // 2, w // 2)
+    if name == "unsqueeze":
+        return unsqueeze, (n, c // 4, 2 * h, 2 * w)
+    # the same buffer read with the channel and row axes' sizes swapped
+    return (lambda x: reshape(x, (n, h, c, w))), (n, h, c, w)
+
+
+class TestRandomCompositions:
+    """Tape gradients of random chains of 1-4 ops, ending in a fixed random
+    projection, match central differences at every leaf."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_chain_gradients_match_finite_differences(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        shape = (
+            data.draw(st.integers(1, 2), label="n"),
+            data.draw(st.integers(1, 4), label="c"),
+            data.draw(st.sampled_from([2, 4]), label="h"),
+            data.draw(st.sampled_from([2, 4]), label="w"),
+        )
+        leaves = [Tensor(rng.uniform(-1.0, 1.0, shape), requires_grad=True)]
+        ops = []
+        for _ in range(data.draw(st.integers(1, 4), label="length")):
+            op, shape = _draw_step(data, rng, shape, leaves)
+            ops.append(op)
+        projection = Tensor(rng.standard_normal(shape))
+
+        def loss(_=None):
+            y = leaves[0]
+            for op in ops:
+                y = op(y)
+            return sum_all(mul(y, projection))
+
+        backward(loss())
+        for i, leaf in enumerate(leaves):
+            fd = finite_diff_grad(loss, leaf, FD_STEP)
+            err = np.max(np.abs(leaf.grad - fd)) / max(np.max(np.abs(fd)), 1e-8)
+            assert err < 1e-6, f"leaf {i} {leaf.shape}: worst relative error {err:.3e}"

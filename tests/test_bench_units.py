@@ -1,10 +1,13 @@
-"""One unit of each CLI benchmark workload must pass the benchmark's own checks.
+"""One unit of a benchmark workload must pass the benchmark's own checks.
 
-restore-rgb checks that every restored image matches ``model.forward`` within
-1/255; verify-rgb checks that the reported round-trip maximum covers the
-first trial recomputed with ``model.forward``/``inverse``.  Both then run
-their untimed oracle check of the coupling layers.  A change that the
-benchmark would count as failed operations fails here first.
+train-desk checks that every epoch is recorded with a finite loss and
+validation PSNR; its oracle compares the training loss's gradients with
+finite differences.  restore-rgb checks that every restored image matches
+``model.forward`` within 1/255; verify-rgb checks that the reported
+round-trip maximum covers the first trial recomputed with
+``model.forward``/``inverse``.  All three then run their untimed oracle
+check of the coupling layers.  A change that the benchmark would count as
+failed operations fails here first.
 """
 
 import importlib.util
@@ -28,7 +31,7 @@ def workloads():
         del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("name", ["restore-rgb", "verify-rgb"])
+@pytest.mark.parametrize("name", ["train-desk", "restore-rgb", "verify-rgb"])
 def test_unit_passes_the_benchmark_checks(workloads, name, tmp_path):
     workload = workloads.make(name, 1, str(tmp_path))
     workload.setup()

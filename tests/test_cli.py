@@ -19,6 +19,7 @@ from irae.model import (
     randomize_parameters,
     save_checkpoint,
 )
+from irae.metrics import psnr, ssim
 from irae.pnm import load_pnm, save_pnm
 from synthimages import smooth_patches
 
@@ -283,6 +284,18 @@ class TestErrorHandling:
         assert "eval: --jobs must be at least 1, got 0" in captured.err
         assert captured.out == ""
 
+    def test_infinite_blind_sigma_refused(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        write_dataset(data, smooth_patches(4, 8, np.random.default_rng(16)))
+        ckpt = tmp_path / "model.ckpt"
+        code = main(
+            ["train", "--dataset-dir", str(data), "--blind", "--sigma-hi", "inf",
+             "--epochs-max", "1", "--checkpoint", str(ckpt), "--output-dir", str(tmp_path)]
+        )
+        assert code == 1
+        assert "sigma_range" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_eval_set_mismatch(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         write_dataset(a, smooth_patches(2, 16, np.random.default_rng(0)))
@@ -320,6 +333,47 @@ class TestEvalCommand:
             ["eval", "--restored", str(dnoisy), "--reference", str(dref), "--jobs", "2"]
         ) == 0
         assert capsys.readouterr().out == serial
+
+    @staticmethod
+    def noisy_pair(tmp_path, n, seed):
+        """Reference and noisy directories of n images, noisier by index."""
+        rng = np.random.default_rng(seed)
+        ref = smooth_patches(n, 16, rng)
+        noisy = [np.clip(x + 0.04 * (i + 1) * rng.standard_normal(x.shape), 0, 1)
+                 for i, x in enumerate(ref)]
+        dref, dnoisy = tmp_path / "ref", tmp_path / "noisy"
+        write_dataset(dref, ref)
+        write_dataset(dnoisy, noisy)
+        return dref, dnoisy
+
+    def test_mean_row_is_mean_of_image_rows(self, tmp_path, capsys):
+        dref, dnoisy = self.noisy_pair(tmp_path, 3, 4)
+        assert main(["eval", "--restored", str(dnoisy), "--reference", str(dref)]) == 0
+        *rows, mean = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len({row[1] for row in rows}) == 3  # three distinct images
+        names = [row[0] for row in rows]
+        scores = [(psnr(a, b), ssim(a, b))
+                  for a, b in ((load_pnm(dnoisy / n), load_pnm(dref / n)) for n in names)]
+        assert mean[0] == "mean"
+        for col in (1, 2):
+            column = [score[col - 1] for score in scores]
+            assert mean[col] == f"{np.mean(column):.4f}"
+            # the mean row and each image row are rounded by at most 5e-5
+            assert abs(float(mean[col]) - np.mean([float(r[col]) for r in rows])) < 1.01e-4
+
+    def test_table_layout(self, tmp_path, capsys):
+        dref, dnoisy = self.noisy_pair(tmp_path, 2, 5)
+        table = tmp_path / "table.tsv"
+        args = ["eval", "--restored", str(dnoisy), "--reference", str(dref)]
+        assert main(args + ["--output", str(table)]) == 0
+        out = capsys.readouterr().out
+        assert table.read_text() == out
+        header, *rows = out.splitlines()
+        assert header == "image\tpsnr_db\tssim"
+        assert [row.split("\t")[0] for row in rows] == ["img000.pgm", "img001.pgm", "mean"]
+        for row in rows:
+            name, p, s = row.split("\t")
+            assert row == f"{name}\t{float(p):.4f}\t{float(s):.4f}"
 
 
 class TestTrainRestorePipeline:

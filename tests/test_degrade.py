@@ -1,5 +1,7 @@
 """Degradation checks: noise statistics, JPEG-sim behavior, mask geometry."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,16 @@ class TestSpecAndDispatch:
             DegradationSpec(quality_factor=0).validate()
         with pytest.raises(ValueError, match="central region"):
             DegradationSpec(kind="inpaint", mask_size=(20, 20), image_size=(32, 32)).validate()
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_non_finite_sigma_refused(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            DegradationSpec(sigma=sigma).validate()
+
+    @pytest.mark.parametrize("sigma_range", [(0.0, math.inf), (math.nan, math.nan)])
+    def test_non_finite_sigma_range_refused(self, sigma_range):
+        with pytest.raises(ValueError, match="sigma_range"):
+            DegradationSpec(sigma_range=sigma_range).validate()
 
     def test_dispatch_deterministic(self):
         x = smooth_patches(1, 16, np.random.default_rng(24))[0]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from irae.metrics import PSNR_CAP_DB, MetricReport, psnr, ssim
+from irae.metrics import PSNR_CAP_DB, psnr, ssim
 
 
 class TestPsnr:
@@ -83,19 +83,3 @@ class TestSsim:
         per_channel = [ssim(a[c], b[c]) for c in range(3)]
         assert ssim(a, b) == pytest.approx(np.mean(per_channel), abs=1e-12)
 
-
-class TestMetricReport:
-    def test_mean_is_arithmetic_mean(self):
-        report = MetricReport()
-        report.add("a", 20.0, 0.5)
-        report.add("b", 30.0, 0.7)
-        assert report.psnr_mean == 25.0
-        assert report.ssim_mean == pytest.approx(0.6)
-
-    def test_table_format(self):
-        report = MetricReport()
-        report.add("img.pgm", 21.5, 0.91)
-        lines = report.table().splitlines()
-        assert lines[0] == "image\tpsnr_db\tssim"
-        assert lines[1].startswith("img.pgm\t21.5000\t0.9100")
-        assert lines[-1].startswith("mean\t")

@@ -270,6 +270,18 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="empty"):
             train(model, [], DegradationSpec(), epochs_max=1)
 
+    def test_non_finite_image_refused_before_any_degradation(self, monkeypatch):
+        images = smooth_patches(20, 8, np.random.default_rng(26))
+        images[7][0, 3, 3] = np.nan
+
+        def degrade(*args):
+            raise AssertionError("a degradation was drawn before the images were checked")
+
+        monkeypatch.setattr(train_module, "degrade", degrade)
+        model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4, seed=27))
+        with pytest.raises(ValueError, match="image 7 contains non-finite values"):
+            train(model, images, DegradationSpec(kind="awgn"), epochs_max=1, batch_size=8)
+
     def test_inpaint_mask_checked_against_the_given_images(self):
         model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4, seed=23))
         images = smooth_patches(4, 64, np.random.default_rng(24))
