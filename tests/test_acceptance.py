@@ -198,6 +198,10 @@ class TestCriterion4BlindDenoising:
 
 class TestCriterion5JpegMonotonicity:
     def test_psnr_nondecreasing_in_quality(self):
+        """Batches of 4 give 540 Adam steps per model.  With batches of 16
+        (140 steps) every model restored worse than its degraded inputs,
+        and QF 30 -> 40 moved by a mean 0.0 dB across 13 seed pairs, so 7 of
+        them failed; at 540 steps it gains a mean 0.6 dB and 14 of 16 pass."""
         quality_factors = (10, 20, 30, 40)
         train_imgs = smooth_patches(120, 16, np.random.default_rng(10))
         test_imgs = smooth_patches(40, 16, np.random.default_rng(3))
@@ -205,7 +209,7 @@ class TestCriterion5JpegMonotonicity:
         for qf in quality_factors:
             model = build(IraeConfig(flow_steps=2, levels=2, hidden_width=16, seed=5))
             spec = DegradationSpec(kind="jpeg", quality_factor=qf)
-            model, _ = train(model, train_imgs, spec, epochs_max=20, batch_size=16, seed=6)
+            model, _ = train(model, train_imgs, spec, epochs_max=20, batch_size=4, seed=6)
             degraded = [apply_jpeg_sim(x, qf) for x in test_imgs]
             with no_grad():
                 restored = model.forward(np.stack(degraded)).data
