@@ -28,6 +28,7 @@ __all__ = [
     "channel_mean",
     "channel_std",
     "conv2d_same",
+    "channel_mix",
     "reshape",
     "narrow_channels",
     "concat_channels",
@@ -207,13 +208,19 @@ def _scalar_op(a, fwd, grad_rule):
     return out
 
 
+def _sigmoid(d):
+    # e = exp(-|d|) lies in (0, 1], so nothing overflows; 1/(1+e) is the
+    # value for d >= 0 and e/(1+e) the value for d < 0
+    e = np.abs(d)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    r = e + 1
+    np.reciprocal(r, out=r)
+    return np.where(d >= 0, r, e * r)
+
+
 def sigmoid(x):
-    # exp(-softplus(-x)) is exact and overflow-free for any finite input
-    return _scalar_op(
-        x,
-        lambda d: np.exp(-np.logaddexp(d.dtype.type(0), -d)),
-        lambda g, d, y: g * y * (1 - y),
-    )
+    return _scalar_op(x, _sigmoid, lambda g, d, y: g * y * (1 - y))
 
 
 def tanh(x):
@@ -301,6 +308,30 @@ def channel_std(x):
     return out
 
 
+def channel_mix(w, x):
+    """Per-pixel channel mix y[n,:,i,j] = w @ x[n,:,i,j]: w [Co,Ci], x [N,Ci,H,W].
+
+    One matmul over the [N, Ci, H*W] view of x, with no padding or copy of
+    x; the weight gradient is one GEMM over the batch and pixels.
+    """
+    _check_nchw(x, "channel_mix")
+    if w.ndim != 2 or w.shape[1] != x.shape[1]:
+        raise ValueError(f"channel_mix: weight {w.shape} does not fit input {x.shape}")
+    _check_dtypes(x, w, "channel_mix")
+    n, c_in, h, wd = x.shape
+    xf = x.data.reshape(n, c_in, h * wd)
+
+    def bwd():
+        g = out.grad.reshape(n, -1, h * wd)
+        if x.requires_grad:
+            _accum(x, np.matmul(w.data.T, g).reshape(x.shape))
+        if w.requires_grad:
+            _accum(w, np.tensordot(g, xf, axes=((0, 2), (0, 2))))
+
+    out = _result(np.matmul(w.data, xf).reshape(n, -1, h, wd), (x, w), bwd)
+    return out
+
+
 def _pad_cn(a, pad):
     """[N,C,H,W] -> zero-padded copy laid out [C,N,H+2p,W+2p]."""
     n, c, h, wd = a.shape
@@ -329,7 +360,10 @@ def _correlate(ap, wt):
         return (wt.reshape(c_out, -1) @ _im2col(ap, k)).reshape(c_out, n, h, wd)
     taps = wt.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in) @ ap.reshape(c_in, -1)
     taps = taps.reshape(k, k, c_out, n, hp, wp)
-    return sum(taps[dy, dx, :, :, dy : dy + h, dx : dx + wd] for dy, dx in np.ndindex(k, k))
+    acc = np.zeros((c_out, n, h, wd), dtype=taps.dtype)
+    for dy, dx in np.ndindex(k, k):
+        acc += taps[dy, dx, :, :, dy : dy + h, dx : dx + wd]
+    return acc
 
 
 def conv2d_same(x, w, b=None):

@@ -15,12 +15,12 @@ import numpy as np
 from .autodiff import (
     Tensor,
     add,
+    channel_mix,
     concat_channels,
     conv2d_same,
     mul,
     narrow_channels,
     no_grad,
-    reshape,
     sigmoid,
     tanh,
     _result,
@@ -192,8 +192,7 @@ class InvertibleConv1x1:
     def forward(self, x):
         if x.shape[1] != self.channels:
             raise ValueError(f"conv1x1: expected {self.channels} channels, got {x.shape[1]}")
-        kernel = reshape(self.weight, (self.channels, self.channels, 1, 1))
-        return conv2d_same(x, kernel)
+        return channel_mix(self.weight, x)
 
     def _slogdet(self):
         """W cast to float64, log|det W|, and whether the inverse may use W.

@@ -4,6 +4,8 @@ The two oracles everything else leans on: a hand-rolled nested-loop
 convolution, and central finite differences for every backward rule.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from irae.autodiff import (
     add,
     backward,
     channel_mean,
+    channel_mix,
     channel_std,
     concat_channels,
     conv2d_same,
@@ -75,6 +78,25 @@ class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert sigmoid(Tensor([0.0])).data[0] == 0.5
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_within_4_ulp(self, dtype):
+        x = np.linspace(-110.0, 110.0, 400_001).astype(dtype)
+        got = sigmoid(Tensor(x)).data
+        assert got.dtype == dtype
+        wide = x.astype(np.longdouble)  # float64 or wider
+        ref = 1 / (1 + np.exp(-wide))
+        ulps = np.abs(got - ref) / np.spacing(ref.astype(dtype))
+        assert ulps.max() <= 4.0, f"worst {ulps.max():.2f} ULP at x={x[np.argmax(ulps)]}"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_positive_to_minus_103_and_silent_at_extremes(self, dtype):
+        assert np.all(sigmoid(Tensor(np.arange(-103.0, 1.0).astype(dtype))).data > 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="warn", divide="warn", invalid="warn"):
+                got = sigmoid(Tensor(np.array([-1e4, 1e4], dtype=dtype))).data
+        assert np.array_equal(got, [0.0, 1.0])
+
     def test_mul_channel_broadcast(self):
         x = Tensor(np.array([3.0, 5.0]).reshape(1, 2, 1, 1))
         scale = Tensor([2.0, 10.0])
@@ -109,6 +131,19 @@ class TestElementwise:
             x = Tensor(rng.standard_normal((2, 3, 4, 4)))
             for op in (sigmoid, tanh, exp, absolute):
                 assert np.all(np.isfinite(op(x).data))
+
+
+class TestChannelMix:
+    def test_matches_per_pixel_matrix_product(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, 3, 4, 5))
+        w = rng.standard_normal((6, 3))
+        want = np.einsum("oc,nchw->nohw", w, x)
+        np.testing.assert_allclose(channel_mix(Tensor(w), Tensor(x)).data, want, rtol=1e-12)
+
+    def test_weight_must_fit_input_channels(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            channel_mix(Tensor(np.eye(2)), Tensor(np.zeros((1, 3, 2, 2))))
 
 
 class TestConv2d:
@@ -403,7 +438,10 @@ def _draw_step(data, rng, shape, leaves):
     """One tape op that accepts an [N,C,H,W] input of this shape, with any
     operands it needs appended to leaves: (op, output shape)."""
     n, c, h, w = shape
-    names = ["sigmoid", "tanh", "add", "sub", "mul", "conv2d_same", "narrow_concat", "reshape"]
+    names = [
+        "sigmoid", "tanh", "add", "sub", "mul", "conv2d_same", "channel_mix", "narrow_concat",
+        "reshape",
+    ]
     if h % 2 == 0 and w % 2 == 0:
         names.append("squeeze")
     if c % 4 == 0:
@@ -431,6 +469,10 @@ def _draw_step(data, rng, shape, leaves):
         c_out = data.draw(st.integers(1, 4), label="c_out")
         weight, bias = leaf(c_out, c, k, k), leaf(c_out)
         return (lambda x: conv2d_same(x, weight, bias)), (n, c_out, h, w)
+    if name == "channel_mix":
+        c_out = data.draw(st.integers(1, 4), label="c_out")
+        weight = leaf(c_out, c)
+        return (lambda x: channel_mix(weight, x)), (n, c_out, h, w)
     if name == "narrow_concat":
         start = data.draw(st.integers(0, c - 1), label="start")
         stop = data.draw(st.integers(start + 1, c), label="stop")
