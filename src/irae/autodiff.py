@@ -211,11 +211,8 @@ def _scalar_op(a, fwd, grad_rule):
 def _sigmoid(d):
     # e = exp(-|d|) lies in (0, 1], so nothing overflows; 1/(1+e) is the
     # value for d >= 0 and e/(1+e) the value for d < 0
-    e = np.abs(d)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    r = e + 1
-    np.reciprocal(r, out=r)
+    e = np.exp(-np.abs(d))
+    r = 1 / (1 + e)
     return np.where(d >= 0, r, e * r)
 
 

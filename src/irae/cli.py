@@ -12,6 +12,7 @@ import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from .infotheory import FiniteMap, iter_all_maps, information_preservation_check
 from .metrics import psnr, ssim
 from .model import PRECISION_DTYPES, IraeConfig, build, load_checkpoint, randomize_parameters
 from .model import _assemble, save_checkpoint
-from .pnm import load_pnm, save_pnm
+from .pnm import load_pnm, pnm_shape, save_pnm
 from .train import history_lines, train
 
 __all__ = ["RunConfig", "parse_config_file", "main"]
@@ -31,9 +32,10 @@ TASKS = ("denoise", "jpeg", "inpaint")
 
 ROUND_TRIP_BOUNDS = {"float32": 1e-4, "float64": 1e-8}
 
-# verify runs its trials in batches of this many pixels per channel (at least
-# one trial), so a batch holds no more activations than sixteen 32x32 trials
-_VERIFY_BATCH_PIXELS = 2**14
+# verify and restore run the model on batches of at most this many pixels per
+# channel (and at least one image), so a batch holds no more activations than
+# eight 32x32 images; a restore batch then stays below load_checkpoint's peak
+_BATCH_PIXELS = 2**13
 
 
 @dataclass
@@ -186,23 +188,40 @@ def cmd_train(args):
     return 0
 
 
-def _restore_one(model, src, dst):
-    save_pnm(dst, model.forward(load_pnm(src)[None]).data[0])
+def _batch_size(height, width):
+    return max(1, _BATCH_PIXELS // (height * width))
+
+
+def _restore_batches(paths):
+    """Runs of consecutive same-shape images, split to _batch_size; shapes
+    come from the file headers, so membership depends only on the file list."""
+    batches = []
+    for (_, h, w), run in groupby(paths, key=pnm_shape):
+        run = list(run)
+        n = _batch_size(h, w)
+        batches += [run[i : i + n] for i in range(0, len(run), n)]
+    return batches
+
+
+def _restore_batch(model, paths, out_dir):
+    restored = model.forward(np.stack([load_pnm(p) for p in paths])).data
+    for p, img in zip(paths, restored):
+        save_pnm(out_dir / p.name, img)
 
 
 def cmd_restore(args):
     jobs = _at_least_one(args, "jobs")
     model = load_checkpoint(args.checkpoint)
     paths = _list_images(args.input)
+    batches = _restore_batches(paths)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not model.actnorms_initialized:
         jobs = 1  # data-dependent init must happen on exactly one thread
-    tasks = [(p, out_dir / p.name) for p in paths]
     # grad mode is process-global: switch it once here, never in the workers
     with no_grad(), ThreadPoolExecutor(max_workers=jobs) as pool:
-        list(pool.map(lambda t: _restore_one(model, *t), tasks))
-    print(f"restored {len(tasks)} images -> {out_dir}")
+        list(pool.map(lambda b: _restore_batch(model, b, out_dir), batches))
+    print(f"restored {len(paths)} images -> {out_dir}")
     return 0
 
 
@@ -261,7 +280,7 @@ def cmd_verify(args):
         randomize_parameters(model, np.random.default_rng(options.seed))
     cfg = model.config
     rng = np.random.default_rng(options.seed + 1)
-    batch = max(1, _VERIFY_BATCH_PIXELS // size**2)
+    batch = _batch_size(size, size)
     worst = 0.0
     for start in range(0, args.trials, batch):
         # one draw of n trials gives the same numbers as n draws of one trial

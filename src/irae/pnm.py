@@ -1,14 +1,16 @@
 """Binary PGM (P5) and PPM (P6) reading and writing, 8-bit, dependency-free.
 
-The byte-to-float mapping is fixed: stored value v becomes v/255, so an
-8-bit image round-trips load -> save -> load bitwise.
+A stored value v becomes v/maxval, so full white is 1.0 at any maxval in
+1..255, and a sample above maxval is refused.  Files are written with maxval
+255, so an image round-trips load -> save -> load bitwise.  Non-finite
+pixels are refused on save.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["load_pnm", "save_pnm"]
+__all__ = ["load_pnm", "pnm_shape", "save_pnm"]
 
 _MAGIC_CHANNELS = {b"P5": 1, b"P6": 3}
 
@@ -33,8 +35,8 @@ def _read_token(blob, pos):
     return blob[start:pos], pos
 
 
-def load_pnm(path):
-    """Read a binary PGM/PPM file into a (C,H,W) float array in [0,1]."""
+def _header(path):
+    """(file bytes, (C,H,W), maxval, offset of the pixel data)."""
     with open(path, "rb") as f:
         blob = f.read()
     magic = blob[:2]
@@ -55,7 +57,17 @@ def load_pnm(path):
         raise ValueError(f"{path}: bad dimensions {width}x{height}")
     if not 1 <= maxval <= 255:
         raise ValueError(f"{path}: maxval {maxval} unsupported (8-bit only)")
-    pos += 1  # single whitespace byte after maxval
+    return blob, (channels, height, width), maxval, pos + 1  # one whitespace byte after maxval
+
+
+def pnm_shape(path):
+    """(C,H,W) of a binary PGM/PPM file, read from its header; no pixel is decoded."""
+    return _header(path)[1]
+
+
+def load_pnm(path):
+    """Read a binary PGM/PPM file into a (C,H,W) float array in [0,1]."""
+    blob, (channels, height, width), maxval, pos = _header(path)
     need = width * height * channels
     payload = blob[pos : pos + need]
     if len(payload) < need:
@@ -63,7 +75,10 @@ def load_pnm(path):
     trailing = blob[pos + need :]
     if trailing.strip():
         raise ValueError(f"{path}: {len(trailing)} unexpected bytes after pixel data")
-    pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
+    samples = np.frombuffer(payload, dtype=np.uint8)
+    if maxval < 255 and samples.max() > maxval:
+        raise ValueError(f"{path}: sample {samples.max()} exceeds maxval {maxval}")
+    pixels = samples.astype(np.float64) / maxval
     return pixels.reshape(height, width, channels).transpose(2, 0, 1)
 
 
@@ -74,6 +89,8 @@ def save_pnm(path, image):
         arr = arr[None]
     if arr.ndim != 3 or arr.shape[0] not in (1, 3):
         raise ValueError(f"expected (H,W) or (C,H,W) with 1 or 3 channels, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: image has non-finite pixels")
     data = np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
     channels, height, width = data.shape
     magic = b"P5" if channels == 1 else b"P6"

@@ -200,7 +200,7 @@ class TestCriterion5JpegMonotonicity:
     def test_psnr_nondecreasing_in_quality(self):
         """Batches of 4 give 540 Adam steps per model.  With batches of 16
         (140 steps) every model restored worse than its degraded inputs,
-        and QF 30 -> 40 moved by a mean 0.0 dB across 13 seed pairs, so 7 of
+        and QF 30 -> 40 moved by a mean 0.1 dB across 16 seed pairs, so 8 of
         them failed; at 540 steps it gains a mean 0.6 dB and 14 of 16 pass."""
         quality_factors = (10, 20, 30, 40)
         train_imgs = smooth_patches(120, 16, np.random.default_rng(10))

@@ -203,7 +203,7 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "over 17 trials" in capsys.readouterr().out
-        assert [x.shape[0] for x in seen] == [16, 1]
+        assert [x.shape[0] for x in seen] == [8, 8, 1]
         want = np.random.default_rng(5 + 1).uniform(0.0, 1.0, (17, 1, 32, 32))
         assert np.array_equal(np.concatenate(seen), want)
 
@@ -224,7 +224,7 @@ class TestVerifyCommand:
              "--trials", str(trials), "--size", "32"]
         )
         out = capsys.readouterr().out
-        assert [x.shape[0] for x in seen] == [16, 4]
+        assert [x.shape[0] for x in seen] == [8, 8, 4]
         assert code == 2
         assert "nan" in out and "FAIL" in out
 
@@ -461,14 +461,16 @@ class TestTrainRestorePipeline:
             assert f.read_bytes() == (parallel / f.name).read_bytes()
 
     def test_restore_jobs_switches_grad_mode_once(self, tmp_path, monkeypatch, capsys):
-        """Worker A finishes its image while worker B is still inside forward:
+        """Worker A finishes its batch while worker B is still inside forward:
         B must still run without a tape, and grad mode must be back on after."""
         model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4))
         randomize_parameters(model, np.random.default_rng(11))
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(model, ckpt)
         inputs = tmp_path / "inputs"
-        write_dataset(inputs, smooth_patches(2, 8, np.random.default_rng(12)))
+        # two shapes, so two batches and two workers
+        rng = np.random.default_rng(12)
+        write_dataset(inputs, smooth_patches(1, 8, rng) + smooth_patches(1, 16, rng))
 
         both_in_forward = threading.Barrier(2, timeout=30)
         first_saved = threading.Event()
@@ -492,3 +494,50 @@ class TestTrainRestorePipeline:
         assert main(args + ["--output", str(tmp_path / "out"), "--jobs", "2"]) == 0
         assert grad_mode_in_forward == [False, False]
         assert autodiff._grad_enabled
+
+    def test_restore_batches_mixed_shapes(self, tmp_path, monkeypatch, capsys):
+        model = build(IraeConfig(flow_steps=1, levels=2, hidden_width=4))
+        randomize_parameters(model, np.random.default_rng(13))
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(model, ckpt)
+        rng = np.random.default_rng(14)
+        images = smooth_patches(2, 16, rng) + smooth_patches(1, 32, rng) + smooth_patches(2, 16, rng)
+        inputs = tmp_path / "inputs"
+        write_dataset(inputs, images)
+        seen = []
+        forward = IraeModel.forward
+
+        def recording_forward(self, y):
+            seen.append(np.shape(y))
+            return forward(self, y)
+
+        monkeypatch.setattr(IraeModel, "forward", recording_forward)
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        args = ["restore", "--checkpoint", str(ckpt), "--input", str(inputs)]
+        assert main(args + ["--output", str(serial)]) == 0
+        assert seen == [(2, 1, 16, 16), (1, 1, 32, 32), (2, 1, 16, 16)]
+        assert main(args + ["--output", str(parallel), "--jobs", "2"]) == 0
+        assert "restored 5 images" in capsys.readouterr().out
+        with autodiff.no_grad():
+            for i, img in enumerate(images):
+                name = f"img{i:03d}.pgm"
+                want = np.clip(forward(model, load_pnm(inputs / name)[None]).data[0], 0, 1)
+                assert np.max(np.abs(load_pnm(serial / name) - want)) <= 1 / 255 + 1e-9
+                assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+    def test_restore_refuses_non_finite_output(self, tmp_path, monkeypatch, capsys):
+        model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4))
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(randomize_parameters(model, np.random.default_rng(15)), ckpt)
+        inputs = tmp_path / "inputs"
+        write_dataset(inputs, smooth_patches(1, 8, np.random.default_rng(16)))
+
+        def nan_forward(self, y):
+            return Tensor(np.full(np.shape(y), np.nan, dtype=self.config.dtype))
+
+        monkeypatch.setattr(IraeModel, "forward", nan_forward)
+        code = main(["restore", "--checkpoint", str(ckpt), "--input", str(inputs),
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "img000.pgm").exists()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from irae.pnm import load_pnm, save_pnm
+from irae.pnm import load_pnm, pnm_shape, save_pnm
 
 
 class TestLoad:
@@ -48,6 +48,22 @@ class TestLoad:
         with pytest.raises(ValueError, match="8-bit"):
             load_pnm(path)
 
+    def test_scaled_by_maxval(self, tmp_path):
+        path = tmp_path / "four_bit.pgm"
+        path.write_bytes(b"P5\n3 1\n15\n" + bytes([0, 5, 15]))
+        np.testing.assert_array_equal(load_pnm(path).ravel(), [0.0, 1 / 3, 1.0])
+
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "over.pgm"
+        path.write_bytes(b"P5\n2 1\n15\n" + bytes([15, 200]))
+        with pytest.raises(ValueError, match="sample 200 exceeds maxval 15"):
+            load_pnm(path)
+
+    def test_shape_from_header(self, tmp_path):
+        path = tmp_path / "tiny.ppm"
+        path.write_bytes(b"P6\n# comment\n1 2\n255\n" + bytes(6))
+        assert pnm_shape(path) == (3, 2, 1)
+
     def test_garbage_after_payload_rejected(self, tmp_path):
         path = tmp_path / "extra.pgm"
         path.write_bytes(b"P5\n1 1\n255\n" + bytes([5]) + b"unexpected")
@@ -86,6 +102,13 @@ class TestSaveRoundTrip:
         path = tmp_path / "flat.pgm"
         save_pnm(path, np.full((3, 3), 0.5))
         assert load_pnm(path).shape == (1, 3, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixels_refused(self, tmp_path, bad):
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(ValueError, match="non-finite"):
+            save_pnm(path, np.array([[[0.5, bad], [0.0, 1.0]]]))
+        assert not path.exists()
 
     def test_bad_channel_count_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="channels"):
