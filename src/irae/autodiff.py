@@ -2,8 +2,8 @@
 
 Deliberately small: float32/float64 only, row-major layout, explicit shapes,
 and exactly one implicit broadcast: a per-channel vector [C] as the right
-operand of add/sub/mul, against a batch [N,C,H,W] on the left.  The tape is
-freed as soon as ``backward`` runs; there are no higher-order derivatives.
+operand of add/sub/mul, against a batch [N,C,H,W] on the left.  ``backward``
+frees the tape record by record; there are no higher-order derivatives.
 A graph and the tensors it connects belong to a single thread; tensors with
 ``requires_grad=False`` may be shared read-only.
 """
@@ -63,8 +63,9 @@ class no_grad:
 class Tensor:
     """Dense real tensor; records a backward rule while grad mode is on.
 
-    ``grad`` is a numpy array of the same shape, populated by ``backward``
-    and accumulated across multiple uses of the tensor in one graph.
+    ``grad`` is a numpy array of the same shape, left on leaves by
+    ``backward`` and accumulated across multiple uses of the tensor in one
+    graph; a non-leaf's grad is dropped once its backward rule has run.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents", "_spent")
@@ -338,9 +339,16 @@ def _pad_cn(a, pad):
 
 
 def _im2col(ap, k):
-    """Padded [C,N,Hp,Wp] -> window matrix [C*k*k, N*H*W], in one copy."""
-    win = np.lib.stride_tricks.sliding_window_view(ap, (k, k), axis=(2, 3))
-    return win.transpose(0, 4, 5, 1, 2, 3).reshape(ap.shape[0] * k * k, -1)
+    """Padded [C,N,Hp,Wp] -> window matrix [C*k*k, N*H*W], in one copy.
+
+    A plain strided view: sliding_window_view's ``__array_interface__``
+    dict churns CPython's interned-string table, whose 0.9 MiB rebuilds
+    then land at random in a training step's memory peak.
+    """
+    c, n, hp, wp = ap.shape
+    shape = (c, n, hp - k + 1, wp - k + 1, k, k)
+    win = np.ndarray(shape, ap.dtype, ap, 0, ap.strides + ap.strides[2:])
+    return win.transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, -1)
 
 
 def _correlate(ap, wt):
@@ -363,11 +371,13 @@ def _correlate(ap, wt):
     return acc
 
 
-def conv2d_same(x, w, b=None):
+def conv2d_same(x, w, b=None, tanh=False):
     """2-D cross-correlation with zero 'same' padding, stride 1, odd kernel.
 
     x: [N,Cin,H,W], w: [Cout,Cin,k,k], optional b: [Cout].  Output spatial
-    size equals the input's.  Forward, input gradient and weight gradient
+    size equals the input's.  With ``tanh`` the result is tanh(conv) in one
+    tape record, bitwise equal to ``tanh(conv2d_same(...))`` but with no
+    pre-tanh output on the tape.  Forward, input gradient and weight gradient
     are one GEMM each over a [C, N*H*W] layout (see ``_correlate``); the
     input gradient correlates the output gradient with the kernel flipped
     in space and its channel axes swapped, and the weight gradient reuses
@@ -397,11 +407,13 @@ def conv2d_same(x, w, b=None):
     if b is not None:
         acc += b.data[:, None, None, None]
     data = np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
+    if tanh:
+        np.tanh(data, out=data)
 
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd():
-        g = out.grad
+        g = out.grad * (1 - data * data) if tanh else out.grad
         flipped = w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
         if c_in <= c_out:
             if x.requires_grad:
@@ -474,10 +486,13 @@ def concat_channels(a, b):
 
 
 def backward(loss):
-    """Populate grads of every reachable requires_grad tensor from a scalar.
+    """Populate grads of every reachable leaf tensor from a scalar.
 
-    Visits each tape record exactly once in reverse topological order, then
-    frees the tape; a second backward through the same graph raises.
+    Runs each tape record once in reverse topological order and frees it,
+    with its ``.grad``, as soon as its rule has run: an activation lives
+    only until its last consumer's rule is done.  Leaves (tensors with no
+    backward rule, such as parameters) keep their grads.  A second backward
+    through the same graph raises.
     """
     if loss.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -503,12 +518,14 @@ def backward(loss):
                 stack.append((p, False))
 
     loss.grad = np.ones(loss.shape, dtype=loss.dtype)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
             node._backward()
             node._backward = None
             node._parents = ()
             node._spent = True
+            node.grad = None
 
 
 def finite_diff_grad(f, x, h=1e-5):

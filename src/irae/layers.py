@@ -22,7 +22,6 @@ from .autodiff import (
     narrow_channels,
     no_grad,
     sigmoid,
-    tanh,
     _result,
     _accum,
 )
@@ -260,8 +259,8 @@ class AffineCoupling:
         self.w3, self.b3 = _conv_param(channels, hidden, 3, rng, dtype, zero=True)
 
     def _net(self, xa):
-        h = tanh(conv2d_same(xa, self.w1, self.b1))
-        h = tanh(conv2d_same(h, self.w2, self.b2))
+        h = conv2d_same(xa, self.w1, self.b1, tanh=True)
+        h = conv2d_same(h, self.w2, self.b2, tanh=True)
         out = conv2d_same(h, self.w3, self.b3)
         half = self.channels // 2
         raw_s = narrow_channels(out, 0, half)

@@ -156,8 +156,9 @@ def _validate(model, xs, ys, batch_size):
 def train(model, images, spec, epochs_max, batch_size=16, seed=0):
     """Minimize the L1 restoration loss; returns (model, history).
 
-    images: list of (C,H,W) arrays in [0,1]; a non-finite pixel is refused
-    before any corruption is drawn.  A 10% validation split (at least one
+    images: list of (C,H,W) arrays in [0,1]; a non-finite pixel, or a
+    batch_size or epochs_max below 1, is refused before any corruption is
+    drawn.  A 10% validation split (at least one
     image) is held out, fixed by the seed, with its corruptions drawn once
     so per-epoch PSNR is comparable.  Training corruptions are redrawn every
     epoch for the stochastic kinds.  The model is left at the
@@ -167,6 +168,9 @@ def train(model, images, spec, epochs_max, batch_size=16, seed=0):
     """
     if len(images) == 0:
         raise ValueError("train: dataset is empty")
+    for name, value in (("batch_size", batch_size), ("epochs_max", epochs_max)):
+        if value < 1:
+            raise ValueError(f"train: {name} must be at least 1, got {value}")
     images = [np.asarray(x, dtype=np.float64) for x in images]
     for i, x in enumerate(images):
         if not np.all(np.isfinite(x)):

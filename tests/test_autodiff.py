@@ -4,6 +4,7 @@ The two oracles everything else leans on: a hand-rolled nested-loop
 convolution, and central finite differences for every backward rule.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -194,6 +195,36 @@ class TestConv2d:
             conv2d_same(x, w)
 
 
+class TestConv2dTanh:
+    """conv2d_same(..., tanh=True) is tanh(conv2d_same(...)) in one record."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c_in, c_out", [(2, 5), (5, 2)])
+    def test_forward_and_leaf_gradients_bitwise_equal_to_tanh_of_conv(self, dtype, c_in, c_out):
+        rng = np.random.default_rng(41)
+        arrays = [
+            rng.standard_normal(shape).astype(dtype)
+            for shape in [(2, c_in, 5, 4), (c_out, c_in, 3, 3), (c_out,)]
+        ]
+        projection = Tensor(rng.standard_normal((2, c_out, 5, 4)).astype(dtype))
+        runs = []
+        for fused in (False, True):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            y = conv2d_same(*leaves, tanh=True) if fused else tanh(conv2d_same(*leaves))
+            backward(sum_all(mul(y, projection)))
+            runs.append([y.data] + [leaf.grad for leaf in leaves])
+        for plain, fused in zip(*runs):
+            assert fused.dtype == plain.dtype == dtype
+            assert fused.shape == plain.shape
+            assert fused.tobytes() == plain.tobytes()
+
+    def test_one_tape_record(self):
+        x = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
+        w = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
+        y = conv2d_same(x, w, tanh=True)
+        assert y._parents == (x, w)
+
+
 @st.composite
 def conv_cases(draw, relation):
     """float64 (x, w, b, r) with Cin `relation` Cout, N in 1..3, k in {1,3,5}
@@ -304,6 +335,50 @@ class TestBackward:
         backward(sum_all(sigmoid(b2)))
         np.testing.assert_array_equal(a1.grad, a2.grad)
         np.testing.assert_array_equal(b1.grad, b2.grad)
+
+    def test_frees_each_record_once_its_rule_has_run(self):
+        # 1x1 kernels keep one rule's temporaries small next to the tape, so
+        # the peak above the memory live at the start is what backward keeps;
+        # an 8.5 MiB tape keeps a rebuild of CPython's interned-string table
+        # (0.9 MiB, at unpredictable times) from deciding the outcome
+        rng = np.random.default_rng(42)
+        layers = [
+            (Tensor(0.3 * rng.standard_normal((8, 8, 1, 1)), requires_grad=True),
+             Tensor(rng.standard_normal(8), requires_grad=True))
+            for _ in range(8)
+        ]
+        x = Tensor(rng.standard_normal((8, 8, 32, 32)))
+        projection = Tensor(rng.standard_normal((8, 8, 32, 32)))
+        tracemalloc.start()
+        try:
+            h = x
+            for w, b in layers:
+                h = tanh(conv2d_same(h, w, b))
+            loss = sum_all(mul(h, projection))
+            del h
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grown = (peak - live) / live
+        assert grown < 0.25, f"backward grew {live} live bytes by {grown:.1%}"
+
+    def test_only_leaves_keep_their_grads(self):
+        rng = np.random.default_rng(43)
+        w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
+        conv = conv2d_same(x, w, b)
+        act = tanh(conv)
+        total = add(act, conv)
+        loss = sum_all(mul(total, total))
+        backward(loss)
+        for leaf in (w, b, x):
+            assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+        for node in (conv, act, total, loss):
+            assert node.grad is None
 
     def test_no_grad_suppresses_tape(self):
         x = Tensor([1.0], requires_grad=True)
@@ -439,8 +514,8 @@ def _draw_step(data, rng, shape, leaves):
     operands it needs appended to leaves: (op, output shape)."""
     n, c, h, w = shape
     names = [
-        "sigmoid", "tanh", "add", "sub", "mul", "conv2d_same", "channel_mix", "narrow_concat",
-        "reshape",
+        "sigmoid", "tanh", "add", "sub", "mul", "conv2d_same", "conv2d_same_tanh", "channel_mix",
+        "narrow_concat", "reshape",
     ]
     if h % 2 == 0 and w % 2 == 0:
         names.append("squeeze")
@@ -464,11 +539,12 @@ def _draw_step(data, rng, shape, leaves):
         else:
             other = leaf(*shape) if kind == "leaf" else leaf(c)
         return (lambda x: binary(x, other)), shape
-    if name == "conv2d_same":
+    if name in ("conv2d_same", "conv2d_same_tanh"):
         k = data.draw(st.sampled_from([1, 3]), label="k")
         c_out = data.draw(st.integers(1, 4), label="c_out")
         weight, bias = leaf(c_out, c, k, k), leaf(c_out)
-        return (lambda x: conv2d_same(x, weight, bias)), (n, c_out, h, w)
+        fused = name == "conv2d_same_tanh"
+        return (lambda x: conv2d_same(x, weight, bias, tanh=fused)), (n, c_out, h, w)
     if name == "channel_mix":
         c_out = data.draw(st.integers(1, 4), label="c_out")
         weight = leaf(c_out, c)

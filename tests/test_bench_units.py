@@ -6,8 +6,10 @@ finite differences.  restore-rgb checks that every restored image matches
 ``model.forward`` within 1/255; verify-rgb checks that the reported
 round-trip maximum covers the first trial recomputed with
 ``model.forward``/``inverse``.  All three then run their untimed oracle
-check of the coupling layers.  A change that the benchmark would count as
-failed operations fails here first.
+check of the coupling layers, and train-desk's unit must stay under a peak
+memory bound, measured by the benchmark's own ``peak_memory_mib``.  A
+change that the benchmark would count as failed operations fails here
+first.
 """
 
 import importlib.util
@@ -16,23 +18,40 @@ from pathlib import Path
 
 import pytest
 
-WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+# train-desk's tracemalloc peak per unit, as bench/run.py measures it: 9.58
+# MiB once backward frees the tape as it runs, 19.17 MiB when it kept every
+# record and activation gradient to the end
+TRAIN_DESK_PEAK_MIB = 14.0
+
+
+def _load(name, filename):
+    spec = importlib.util.spec_from_file_location(name, BENCH_DIR / filename)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up here
     try:
-        spec.loader.exec_module(module)
-        yield module
+        yield _load("bench_workloads", "workloads.py")
     finally:
-        del sys.modules[spec.name]
+        sys.modules.pop("bench_workloads", None)
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    try:
+        yield _load("bench_run", "run.py")
+    finally:
+        sys.modules.pop("bench_run", None)
 
 
 @pytest.mark.parametrize("name", ["train-desk", "restore-rgb", "verify-rgb"])
-def test_unit_passes_the_benchmark_checks(workloads, name, tmp_path):
+def test_unit_passes_the_benchmark_checks(workloads, bench_run, name, tmp_path):
     workload = workloads.make(name, 1, str(tmp_path))
     workload.setup()
     workload.prepare()
@@ -42,3 +61,7 @@ def test_unit_passes_the_benchmark_checks(workloads, name, tmp_path):
     attempted, failed, notes = workload.oracle_check()
     assert attempted > 0
     assert failed == 0, notes
+    if name == "train-desk":
+        peak_mib, result = bench_run.peak_memory_mib(workload)
+        assert result.failed == 0, result.notes
+        assert peak_mib < TRAIN_DESK_PEAK_MIB

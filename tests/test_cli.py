@@ -296,6 +296,29 @@ class TestErrorHandling:
         assert "sigma_range" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--batch-size", "0"], "batch_size must be at least 1, got 0"),
+            (["--batch-size", "-2"], "batch_size must be at least 1, got -2"),
+            (["--epochs-max", "0"], "epochs_max must be at least 1, got 0"),
+        ],
+        ids=["batch_size=0", "batch_size=-2", "epochs_max=0"],
+    )
+    def test_train_batch_size_and_epochs_below_one_refused(self, tmp_path, capsys, flags, message):
+        data = tmp_path / "data"
+        write_dataset(data, smooth_patches(4, 8, np.random.default_rng(17)))
+        ckpt = tmp_path / "model.ckpt"
+        code = main(
+            ["train", "--dataset-dir", str(data), "--flow-steps", "1", "--levels", "1",
+             "--hidden-width", "4", "--epochs-max", "1", "--checkpoint", str(ckpt),
+             "--output-dir", str(tmp_path / "out")] + flags
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not ckpt.exists()
+        assert not (tmp_path / "out").exists()
+
     def test_eval_set_mismatch(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         write_dataset(a, smooth_patches(2, 16, np.random.default_rng(0)))

@@ -282,6 +282,27 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="image 7 contains non-finite values"):
             train(model, images, DegradationSpec(kind="awgn"), epochs_max=1, batch_size=8)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
+            ({"batch_size": -2}, "batch_size must be at least 1, got -2"),
+            ({"epochs_max": 0}, "epochs_max must be at least 1, got 0"),
+        ],
+        ids=["batch_size=0", "batch_size=-2", "epochs_max=0"],
+    )
+    def test_batch_size_and_epochs_below_one_refused_before_any_degradation(
+        self, monkeypatch, kwargs, message
+    ):
+        def degrade(*args):
+            raise AssertionError("a degradation was drawn before the arguments were checked")
+
+        monkeypatch.setattr(train_module, "degrade", degrade)
+        model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4, seed=27))
+        images = smooth_patches(4, 8, np.random.default_rng(28))
+        with pytest.raises(ValueError, match=message):
+            train(model, images, DegradationSpec(kind="awgn"), **{"epochs_max": 1, **kwargs})
+
     def test_inpaint_mask_checked_against_the_given_images(self):
         model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4, seed=23))
         images = smooth_patches(4, 64, np.random.default_rng(24))
