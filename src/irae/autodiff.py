@@ -5,7 +5,11 @@ and exactly one implicit broadcast: a per-channel vector [C] as the right
 operand of add/sub/mul, against a batch [N,C,H,W] on the left.  ``backward``
 frees the tape record by record; there are no higher-order derivatives.
 A graph and the tensors it connects belong to a single thread; tensors with
-``requires_grad=False`` may be shared read-only.
+``requires_grad=False`` may be shared read-only.  Threads may share a
+parameter's numpy array if each gives it its own leaf Tensor, so that each
+accumulates its own ``.grad``: training runs its batch shards this way, on
+model replicas (``IraeModel.replica``).  Grad mode is one process-wide flag,
+so while shards record, no thread may enter ``no_grad``.
 """
 
 from __future__ import annotations

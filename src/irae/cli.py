@@ -22,7 +22,7 @@ from .degrade import DegradationSpec
 from .infotheory import FiniteMap, iter_all_maps, information_preservation_check
 from .metrics import psnr, ssim
 from .model import PRECISION_DTYPES, IraeConfig, build, load_checkpoint, randomize_parameters
-from .model import _assemble, save_checkpoint
+from .model import _assemble, images_per_batch, save_checkpoint
 from .pnm import load_pnm, pnm_shape, save_pnm
 from .train import history_lines, train
 
@@ -31,11 +31,6 @@ __all__ = ["RunConfig", "parse_config_file", "main"]
 TASKS = ("denoise", "jpeg", "inpaint")
 
 ROUND_TRIP_BOUNDS = {"float32": 1e-4, "float64": 1e-8}
-
-# verify and restore run the model on batches of at most this many pixels per
-# channel (and at least one image), so a batch holds no more activations than
-# eight 32x32 images; a restore batch then stays below load_checkpoint's peak
-_BATCH_PIXELS = 2**13
 
 
 @dataclass
@@ -188,17 +183,13 @@ def cmd_train(args):
     return 0
 
 
-def _batch_size(height, width):
-    return max(1, _BATCH_PIXELS // (height * width))
-
-
 def _restore_batches(paths):
-    """Runs of consecutive same-shape images, split to _batch_size; shapes
+    """Runs of consecutive same-shape images, split to images_per_batch; shapes
     come from the file headers, so membership depends only on the file list."""
     batches = []
     for (_, h, w), run in groupby(paths, key=pnm_shape):
         run = list(run)
-        n = _batch_size(h, w)
+        n = images_per_batch(h, w)
         batches += [run[i : i + n] for i in range(0, len(run), n)]
     return batches
 
@@ -280,7 +271,7 @@ def cmd_verify(args):
         randomize_parameters(model, np.random.default_rng(options.seed))
     cfg = model.config
     rng = np.random.default_rng(options.seed + 1)
-    batch = _batch_size(size, size)
+    batch = images_per_batch(size, size)
     worst = 0.0
     for start in range(0, args.trials, batch):
         # one draw of n trials gives the same numbers as n draws of one trial

@@ -28,6 +28,8 @@ from .layers import (
 __all__ = [
     "IraeConfig",
     "IraeModel",
+    "BATCH_PIXELS",
+    "images_per_batch",
     "build",
     "param_count_formula",
     "randomize_parameters",
@@ -43,6 +45,17 @@ CHECKPOINT_VERSION = 1
 # magic, version, flow_steps, levels, hidden_width, in_channels,
 # precision code, actnorm-initialized flag, padding, seed, parameter count
 _HEADER = struct.Struct("<4sIIIIIBBHQQ")
+
+# restore, verify and each training shard run the model on at most this many
+# pixels per channel (and at least one image), so a batch holds no more
+# activations than eight 32x32 images; a restore batch then stays below
+# load_checkpoint's peak
+BATCH_PIXELS = 2**13
+
+
+def images_per_batch(height, width):
+    """How many height x width images one batch of BATCH_PIXELS holds (>= 1)."""
+    return max(1, BATCH_PIXELS // (height * width))
 
 
 class CheckpointError(ValueError):
@@ -186,6 +199,20 @@ class IraeModel:
 
     def param_count(self):
         return sum(p.size for p in self.parameters())
+
+    def replica(self):
+        """A model over this one's parameter arrays, shared without a copy,
+        but with its own leaf Tensors and ActNorm flags.  Another thread can
+        run forward and backward on it: its grads accumulate apart from
+        this model's, and an in-place update of this model's parameters
+        reaches it.  Build it only once every ActNorm is initialized; an
+        uninitialized replica would initialize the shared arrays itself."""
+        twin = _assemble(self.config, None)
+        for mine, theirs in zip(self.parameters(), twin.parameters()):
+            theirs.data = mine.data
+        for mine, theirs in zip(self._steps(), twin._steps()):
+            theirs.norm.initialized = mine.norm.initialized
+        return twin
 
     @property
     def actnorms_initialized(self):

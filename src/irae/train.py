@@ -9,13 +9,17 @@ the rate falls below 1e-6.  Everything is deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
 from .autodiff import Tensor, absolute, backward, mul, no_grad, sub, sum_all
 from .degrade import degrade
 from .metrics import psnr
+from .model import images_per_batch
 
 # Adam moment decay rates and denominator guard
 BETA1 = 0.9
@@ -47,11 +51,15 @@ class NonFiniteGradError(RuntimeError):
     """A gradient went NaN/Inf; the optimizer refuses to apply it."""
 
 
-def l1_loss(restored, reference):
-    """(1/N) * sum_i ||restored_i - reference_i||_1 over a batch of N images."""
+def l1_loss(restored, reference, batch_size=None):
+    """(1/N) * sum_i ||restored_i - reference_i||_1 over a batch of N images.
+
+    A shard of a larger batch passes that batch's N as batch_size, so the
+    shards' losses and gradients sum to the whole batch's.
+    """
     if restored.shape != reference.shape:
         raise ValueError(f"l1_loss: shape mismatch {restored.shape} vs {reference.shape}")
-    n = restored.shape[0]
+    n = restored.shape[0] if batch_size is None else batch_size
     return mul(sum_all(absolute(sub(restored, reference))), 1.0 / n)
 
 
@@ -153,6 +161,65 @@ def _validate(model, xs, ys, batch_size):
     return float(np.mean(scores))
 
 
+def _shard_workers(n_shards):
+    """Threads for n_shards training shards: no more than the usable CPUs
+    can run at the BLAS thread count each.  That count is read from the
+    environment as BLAS reads it, and is otherwise one per CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, min(n_shards, cpus // blas))
+
+
+def _shard_loss_grads(model, y, x, batch_size):
+    """L1 loss of model(y) against x as a share of a batch_size-image batch,
+    as a float, and every parameter's gradient (None when the loss is not
+    finite).  The model's parameters keep no grad."""
+    loss = l1_loss(model.forward(y), Tensor(x), batch_size)
+    loss_val = loss.item()
+    if not math.isfinite(loss_val):
+        return loss_val, None
+    backward(loss)
+    params = model.parameters()
+    grads = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    return loss_val, grads
+
+
+def _loss_and_grads(model, y, x, shard, replicas, pool):
+    """Mean L1 loss of one batch, as a float, and every parameter's gradient.
+
+    Once every ActNorm is initialized, a batch of more than `shard` images
+    is split into shards of `shard` images, the last one possibly smaller.
+    Each shard runs on its own replica of the model, made on first need
+    and kept in `replicas`, on a thread of `pool`.  Shard losses and
+    gradients are summed in shard order, so the result does not depend on
+    the number of threads.
+    """
+    n = len(x)
+    if n <= shard or not model.actnorms_initialized:
+        return _shard_loss_grads(model, y, x, n)
+    starts = range(0, n, shard)
+    replicas += [model.replica() for _ in range(len(starts) - len(replicas))]
+    futures = [
+        pool.submit(_shard_loss_grads, r, y[i : i + shard], x[i : i + shard], n)
+        for r, i in zip(replicas, starts)
+    ]
+    parts = [f.result() for f in futures]
+    loss_val = sum(loss for loss, _ in parts)
+    if not math.isfinite(loss_val):
+        return loss_val, None
+    return loss_val, [reduce(np.add, gs) for gs in zip(*(grads for _, grads in parts))]
+
+
 def train(model, images, spec, epochs_max, batch_size=16, seed=0):
     """Minimize the L1 restoration loss; returns (model, history).
 
@@ -165,6 +232,20 @@ def train(model, images, spec, epochs_max, batch_size=16, seed=0):
     best-validation-PSNR parameters.  A non-finite loss, gradient or
     validation PSNR stops training early: that epoch is not recorded, and
     the model goes back to the best finite epoch, if there is one.
+
+    A batch of more than images_per_batch(H, W) images (BATCH_PIXELS per
+    channel) is split into shards of that many images, the last one
+    possibly smaller, once every ActNorm is initialized; ActNorm's
+    data-dependent init always sees the whole first batch.  Each shard's
+    forward, loss and backward runs on a thread, on a replica of the model
+    over the same parameter arrays.  The shard losses and gradients are
+    summed in shard order before one Adam step.  Shard membership depends
+    only on the batch shape, so the result does not depend on the thread
+    count: min(shards, usable CPUs // BLAS threads), with the BLAS thread
+    count read from OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+    MKL_NUM_THREADS and taken as one per CPU when none is set.  Shards run
+    under the caller's grad mode, which no other thread may switch while
+    train() runs.  No thread outlives the call.
     """
     if len(images) == 0:
         raise ValueError("train: dataset is empty")
@@ -192,46 +273,45 @@ def train(model, images, spec, epochs_max, batch_size=16, seed=0):
     best = None  # (val_psnr, snapshot)
     last_val_psnr = None
     dtype = model.config.dtype
+    shard = images_per_batch(*images[0].shape[-2:])
+    replicas = []
 
-    for epoch in range(1, epochs_max + 1):
-        lr, stop = run_schedule(epoch, last_val_psnr, sched)
-        if stop:
-            break
-        xs = [train_images[i] for i in rng.permutation(len(train_images))]
-        ys = [degrade(x, spec, rng) for x in xs]
-
-        total = 0.0
-        diverged = False
-        for start in range(0, len(xs), batch_size):
-            batch = slice(start, start + batch_size)
-            y = Tensor(np.stack(ys[batch]).astype(dtype))
-            x = Tensor(np.stack(xs[batch]).astype(dtype))
-            loss = l1_loss(model.forward(y), x)
-            loss_val = loss.item()
-            if not math.isfinite(loss_val):
-                diverged = True
+    with ThreadPoolExecutor(max_workers=_shard_workers(math.ceil(batch_size / shard))) as pool:
+        for epoch in range(1, epochs_max + 1):
+            lr, stop = run_schedule(epoch, last_val_psnr, sched)
+            if stop:
                 break
-            backward(loss)
-            try:
-                adam_step(params, [p.grad for p in params], adam, lr)
-            except NonFiniteGradError:
-                diverged = True
-                break
-            finally:
-                for p in params:
-                    p.grad = None
-            total += loss_val * x.shape[0]
-        if diverged:
-            break
+            xs = [train_images[i] for i in rng.permutation(len(train_images))]
+            ys = [degrade(x, spec, rng) for x in xs]
 
-        train_loss = total / len(xs)
-        val_psnr = _validate(model, val_xs, val_ys, batch_size)
-        if not math.isfinite(val_psnr):
-            break
-        history.append(EpochRecord(epoch, train_loss, val_psnr, lr))
-        if best is None or val_psnr > best[0]:
-            best = (val_psnr, model.snapshot())
-        last_val_psnr = val_psnr
+            total = 0.0
+            diverged = False
+            for start in range(0, len(xs), batch_size):
+                batch = slice(start, start + batch_size)
+                y = np.stack(ys[batch]).astype(dtype)
+                x = np.stack(xs[batch]).astype(dtype)
+                loss_val, grads = _loss_and_grads(model, y, x, shard, replicas, pool)
+                if not math.isfinite(loss_val):
+                    diverged = True
+                    break
+                try:
+                    adam_step(params, grads, adam, lr)
+                except NonFiniteGradError:
+                    diverged = True
+                    break
+                del grads  # not held while the next step's tape grows
+                total += loss_val * len(x)
+            if diverged:
+                break
+
+            train_loss = total / len(xs)
+            val_psnr = _validate(model, val_xs, val_ys, batch_size)
+            if not math.isfinite(val_psnr):
+                break
+            history.append(EpochRecord(epoch, train_loss, val_psnr, lr))
+            if best is None or val_psnr > best[0]:
+                best = (val_psnr, model.snapshot())
+            last_val_psnr = val_psnr
 
     if best is not None:
         model.restore(best[1])

@@ -221,6 +221,20 @@ class TestForwardInverse:
         rel = np.abs(y.grad - fd) / (np.abs(fd) + 1e-8)
         assert rel.max() < 1e-4
 
+    def test_replica_shares_arrays_but_not_leaves(self):
+        model = randomize_parameters(build(tiny_config()), np.random.default_rng(15))
+        twin = model.replica()
+        for p, q in zip(model.parameters(), twin.parameters()):
+            assert q is not p and q.data is p.data and q.requires_grad
+        assert twin.actnorms_initialized
+        y = np.random.default_rng(16).uniform(0, 1, (2, 1, 4, 4))
+        backward(sum_all(twin.forward(y)))
+        assert all(p.grad is None for p in model.parameters())
+        assert all(q.grad is not None for q in twin.parameters())
+        model.parameters()[0].data[...] += 1.0  # an in-place update reaches the replica
+        with no_grad():
+            assert np.array_equal(twin.forward(y).data, model.forward(y).data)
+
 
 class TestParamCount:
     def test_hand_enumeration_k1_l1_c1_h8(self):

@@ -1,15 +1,20 @@
 """Optimizer, schedule, and training-loop checks."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import irae.train as train_module
 from irae.autodiff import Tensor, backward, finite_diff_grad, mul, sum_all
 from irae.degrade import DegradationSpec
 from irae.metrics import psnr
-from irae.model import IraeConfig, build
+from irae.model import IraeConfig, build, images_per_batch, randomize_parameters
 from irae.train import (
     AdamState,
     LrSchedule,
@@ -251,8 +256,8 @@ class TestTrainLoop:
 
     def test_nan_loss_stops_at_best_finite_epoch(self, monkeypatch):
         # the second batch of epoch 2, so one Adam step of epoch 2 must be undone
-        def nan_at_batch_5(l1_loss, n, restored, reference):
-            loss = l1_loss(restored, reference)
+        def nan_at_batch_5(l1_loss, n, *args):
+            loss = l1_loss(*args)
             return mul(loss, math.nan) if n == 5 else loss
 
         self.check_stops_at_epoch_1(monkeypatch, "l1_loss", nan_at_batch_5)
@@ -338,3 +343,133 @@ class TestTrainLoop:
         )
         assert len(history) == 2
         assert all(np.isfinite(r.train_loss) for r in history)
+
+
+def record_shard_threads(monkeypatch, workers):
+    """Force the shard worker count; returns the list of threads that ran a
+    shard (the main thread too, for a batch that was not split)."""
+    threads = []
+    original = train_module._shard_loss_grads
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        return original(*args)
+
+    monkeypatch.setattr(train_module, "_shard_workers", lambda n_shards: workers)
+    monkeypatch.setattr(train_module, "_shard_loss_grads", recorded)
+    return threads
+
+
+class TestShardedStep:
+    """A batch larger than the pixel budget is split into shards, each run on
+    its own model replica, with losses and gradients summed in shard order."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(size=st.sampled_from([48, 64, 72]), data=st.data())
+    def test_sharded_gradient_equals_one_batch_gradient(self, size, data):
+        shard = images_per_batch(size, size)  # 3, 2 and 1 images
+        n = data.draw(st.integers(1, 3 * shard), label="batch")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        model = randomize_parameters(build(tiny_config()), rng)
+        x = rng.uniform(0.0, 1.0, (n, 1, size, size))
+        y = x + 0.1 * rng.standard_normal(x.shape)
+
+        replicas = []
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            loss, grads = train_module._loss_and_grads(model, y, x, shard, replicas, pool)
+        assert len(replicas) == (math.ceil(n / shard) if n > shard else 0)
+
+        expected = l1_loss(model.forward(y), Tensor(x))
+        backward(expected)
+        assert abs(loss - expected.item()) <= 1e-10 * expected.item()
+        for p, g in zip(model.parameters(), grads):
+            assert np.linalg.norm(g - p.grad) <= 1e-10 * np.linalg.norm(p.grad)
+
+    def test_more_threads_than_cores_with_fast_switching_lose_no_update(self):
+        """Six shards on six threads, switching every microsecond: a gradient
+        accumulated into a leaf shared between shards would lose updates."""
+        rng = np.random.default_rng(37)
+        model = randomize_parameters(build(tiny_config()), rng)
+        x = rng.uniform(0.0, 1.0, (12, 1, 64, 64))
+        y = x + 0.1 * rng.standard_normal(x.shape)
+
+        def run(workers):
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return train_module._loss_and_grads(model, y, x, 2, [], pool)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            loss_many, grads_many = run(6)
+        finally:
+            sys.setswitchinterval(interval)
+        loss_one, grads_one = run(1)
+        assert loss_many == loss_one
+        for a, b in zip(grads_many, grads_one):
+            assert np.array_equal(a, b)
+
+    def test_history_and_parameters_independent_of_worker_count(self, monkeypatch):
+        # 18 training images at 32x32: per epoch one batch of two 8-image
+        # shards and one unsplit batch of 2; the first step is unsplit
+        # because it initializes ActNorm
+        images = smooth_patches(20, 32, np.random.default_rng(30))
+        spec = DegradationSpec(kind="awgn", sigma=25.0)
+        runs = []
+        for workers in (1, 2):
+            threads = record_shard_threads(monkeypatch, workers)
+            model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4, seed=31))
+            model, history = train(model, images, spec, epochs_max=3, batch_size=16, seed=32)
+            assert sum(t is not threading.main_thread() for t in threads) == 4
+            runs.append((history_lines(history), model.snapshot()))
+        (lines_1, (params_1, _)), (lines_2, (params_2, _)) = runs
+        assert len(lines_1) == 3 and lines_1 == lines_2
+        for a, b in zip(params_1, params_2):
+            assert a.tobytes() == b.tobytes()
+
+    def test_no_thread_outlives_train(self, monkeypatch):
+        threads = record_shard_threads(monkeypatch, 2)
+        images = smooth_patches(20, 32, np.random.default_rng(33))
+        spec = DegradationSpec(kind="awgn", sigma=25.0)
+        model = randomize_parameters(
+            build(IraeConfig(flow_steps=1, levels=1, hidden_width=4, seed=34)),
+            np.random.default_rng(35),
+        )
+        before = threading.active_count()
+        _, history = train(model, images, spec, epochs_max=1, batch_size=16, seed=36)
+        assert len(history) == 1
+        assert threading.active_count() == before
+
+        # a NaN scale-gate bias makes the first (split) step's loss NaN
+        threads.clear()
+        model.decoder_levels[-1][-1].coupling.b3.data[...] = np.nan
+        _, history = train(model, images, spec, epochs_max=1, batch_size=16, seed=36)
+        assert history == []
+        assert len(threads) == 2 and threading.main_thread() not in threads
+        assert threading.active_count() == before
+
+
+class TestShardWorkers:
+    @pytest.mark.parametrize(
+        "env, n_shards, expected",
+        [
+            ({}, 8, 1),  # BLAS defaults to one thread per CPU
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 8, 4),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 8, 2),
+            ({"OPENBLAS_NUM_THREADS": "8"}, 8, 1),
+            ({"OMP_NUM_THREADS": "1"}, 3, 3),
+            ({"MKL_NUM_THREADS": "2"}, 3, 2),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 8, 2),
+            ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "1"}, 8, 4),
+        ],
+    )
+    def test_usable_cpus_over_blas_threads_capped_by_shards(
+        self, monkeypatch, env, n_shards, expected
+    ):
+        monkeypatch.setattr(train_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert train_module._shard_workers(n_shards) == expected
