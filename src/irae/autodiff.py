@@ -334,45 +334,61 @@ def channel_mix(w, x):
     return out
 
 
-def _pad_cn(a, pad):
-    """[N,C,H,W] -> zero-padded copy laid out [C,N,H+2p,W+2p]."""
+def _pad_chwn(a, pad):
+    """[N,C,H,W] -> zero-padded copy laid out [C,H+2p,W+2p,N], batch innermost.
+
+    numpy runs a copy's inner loop along the destination's contiguous axis:
+    N for the whole batch, W for one image.  So the copy goes image by image
+    when N < W and as one transpose otherwise.  (The copy back to NCHW needs
+    no such rule: there the destination's C, H, W axes fold into one run.)
+    """
     n, c, h, wd = a.shape
-    ap = np.zeros((c, n, h + 2 * pad, wd + 2 * pad), dtype=a.dtype)
-    ap[:, :, pad : pad + h, pad : pad + wd] = a.transpose(1, 0, 2, 3)
+    ap = np.zeros((c, h + 2 * pad, wd + 2 * pad, n), dtype=a.dtype)
+    inner = ap[:, pad : pad + h, pad : pad + wd]
+    if n < wd:
+        for i in range(n):
+            inner[..., i] = a[i]
+    else:
+        inner[...] = a.transpose(1, 2, 3, 0)
     return ap
 
 
 def _im2col(ap, k):
-    """Padded [C,N,Hp,Wp] -> window matrix [C*k*k, N*H*W], in one copy.
+    """Padded [C,Hp,Wp,N] -> window matrix [C*k*k, H*W*N], in one copy.
 
-    A plain strided view: sliding_window_view's ``__array_interface__``
-    dict churns CPython's interned-string table, whose 0.9 MiB rebuilds
-    then land at random in a training step's memory peak.
+    Rows run in (c, dy, dx) order and columns in (h, w, n) order.  Each
+    window row is a strided view whose (w, n) axes fold into one contiguous
+    run of W*N elements.  The view is a plain ``np.ndarray``:
+    sliding_window_view's ``__array_interface__`` dict churns CPython's
+    interned-string table, whose 0.9 MiB rebuilds then land at random in a
+    training step's memory peak.
     """
-    c, n, hp, wp = ap.shape
-    shape = (c, n, hp - k + 1, wp - k + 1, k, k)
-    win = np.ndarray(shape, ap.dtype, ap, 0, ap.strides + ap.strides[2:])
-    return win.transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, -1)
+    c, hp, wp, n = ap.shape
+    h, wd = hp - k + 1, wp - k + 1
+    s_c, s_h, s_w, s_n = ap.strides
+    win = np.ndarray((c, k, k, h, wd * n), ap.dtype, ap, 0, (s_c, s_h, s_w, s_h, s_n))
+    return win.reshape(c * k * k, -1)
 
 
 def _correlate(ap, wt):
-    """Padded [Ci,N,Hp,Wp] correlated with wt [Co,Ci,k,k] -> [Co,N,H,W].
+    """Padded [Ci,Hp,Wp,N] correlated with wt [Co,Ci,k,k] -> [Co,H,W,N].
 
-    One GEMM with the batch in its columns.  The k*k window copy is made on
-    the narrower side: im2col of the input when Ci <= Co, otherwise k*k
-    shifted adds of the Co-plane products of each tap with the input.
+    One GEMM with the pixels and batch in its columns.  The k*k window copy
+    is made on the narrower side: im2col of the input when Ci <= Co,
+    otherwise k*k shifted adds of the Co-plane products of each tap with the
+    input, each add over runs of W*N elements.
     """
     c_out, c_in, k, _ = wt.shape
-    _, n, hp, wp = ap.shape
+    _, hp, wp, n = ap.shape
     h, wd = hp - k + 1, wp - k + 1
     if c_in <= c_out:
-        return (wt.reshape(c_out, -1) @ _im2col(ap, k)).reshape(c_out, n, h, wd)
+        return (wt.reshape(c_out, -1) @ _im2col(ap, k)).reshape(c_out, h, wd, n)
     taps = wt.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in) @ ap.reshape(c_in, -1)
-    taps = taps.reshape(k, k, c_out, n, hp, wp)
-    acc = np.zeros((c_out, n, h, wd), dtype=taps.dtype)
+    taps = taps.reshape(k, k, c_out, hp, wp * n)
+    acc = np.zeros((c_out, h, wd * n), dtype=taps.dtype)
     for dy, dx in np.ndindex(k, k):
-        acc += taps[dy, dx, :, :, dy : dy + h, dx : dx + wd]
-    return acc
+        acc += taps[dy, dx, :, dy : dy + h, dx * n : (dx + wd) * n]
+    return acc.reshape(c_out, h, wd, n)
 
 
 def conv2d_same(x, w, b=None, tanh=False):
@@ -382,11 +398,17 @@ def conv2d_same(x, w, b=None, tanh=False):
     size equals the input's.  With ``tanh`` the result is tanh(conv) in one
     tape record, bitwise equal to ``tanh(conv2d_same(...))`` but with no
     pre-tanh output on the tape.  Forward, input gradient and weight gradient
-    are one GEMM each over a [C, N*H*W] layout (see ``_correlate``); the
-    input gradient correlates the output gradient with the kernel flipped
-    in space and its channel axes swapped, and the weight gradient reuses
-    the narrower side's im2col (x's when Cin <= Cout, else the output
-    gradient's).  The tape keeps no padded copy of x.
+    are one GEMM each over a batch-innermost layout: operands are padded into
+    [C, H+2p, W+2p, N] buffers (see ``_pad_chwn``), so each window copy runs
+    over W*N contiguous elements, and GEMM columns are pixels in (h, w, n)
+    order (see ``_correlate``).  The input gradient correlates the output
+    gradient with the kernel flipped in space and its channel axes swapped,
+    and the weight gradient reuses the narrower side's im2col (x's when
+    Cin <= Cout, else the output gradient's).  Each forward output and input
+    gradient element is the same dot product, in the same order, as with
+    the batch outermost, so both are bitwise what a [C, N*H*W] layout
+    gives; the weight gradient sums its pixels in (h, w, n) order.  The
+    tape keeps no padded copy of x.
     """
     _check_nchw(x, "conv2d_same")
     if w.ndim != 4 or w.shape[2] != w.shape[3]:
@@ -407,10 +429,10 @@ def conv2d_same(x, w, b=None, tanh=False):
     n, c_in, h, wd = x.shape
     c_out = w.shape[0]
     pad = (k - 1) // 2
-    acc = _correlate(_pad_cn(x.data, pad), w.data)
+    acc = _correlate(_pad_chwn(x.data, pad), w.data)
     if b is not None:
         acc += b.data[:, None, None, None]
-    data = np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
+    data = np.ascontiguousarray(acc.transpose(3, 0, 1, 2))
     if tanh:
         np.tanh(data, out=data)
 
@@ -421,19 +443,19 @@ def conv2d_same(x, w, b=None, tanh=False):
         flipped = w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
         if c_in <= c_out:
             if x.requires_grad:
-                gx = _correlate(_pad_cn(g, pad), flipped)
+                gx = _correlate(_pad_chwn(g, pad), flipped)
             if w.requires_grad:
-                go = g.transpose(1, 0, 2, 3).reshape(c_out, -1)
-                gw = (_im2col(_pad_cn(x.data, pad), k) @ go.T).T.reshape(w.shape)
+                go = _pad_chwn(g, 0).reshape(c_out, -1)
+                gw = (_im2col(_pad_chwn(x.data, pad), k) @ go.T).T.reshape(w.shape)
         else:  # the narrow im2col is g's, and both gradients use it
-            cols = _im2col(_pad_cn(g, pad), k)
+            cols = _im2col(_pad_chwn(g, pad), k)
             if x.requires_grad:
-                gx = (flipped.reshape(c_in, -1) @ cols).reshape(c_in, n, h, wd)
+                gx = (flipped.reshape(c_in, -1) @ cols).reshape(c_in, h, wd, n)
             if w.requires_grad:
-                gw = cols @ x.data.transpose(1, 0, 2, 3).reshape(c_in, -1).T
+                gw = cols @ _pad_chwn(x.data, 0).reshape(c_in, -1).T
                 gw = gw.reshape(c_out, k, k, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
         if x.requires_grad:
-            _accum(x, np.ascontiguousarray(gx.transpose(1, 0, 2, 3)))
+            _accum(x, np.ascontiguousarray(gx.transpose(3, 0, 1, 2)))
         if w.requires_grad:
             _accum(w, np.ascontiguousarray(gw))
         if b is not None and b.requires_grad:

@@ -37,7 +37,7 @@ __all__ = [
     "unsqueeze_array",
 ]
 
-DET_THRESHOLD = 1e-12
+_COND_LIMIT = 1e12
 STD_FLOOR = 1e-8
 
 
@@ -176,8 +176,12 @@ class InvertibleConv1x1:
 
     Initialized to a random orthogonal matrix (invertible by construction,
     |det| = 1), or to the identity when rng is None (the caller restores
-    real values).  The inverse refuses when |det W| falls below 1e-12 or an
-    entry of W is not finite.
+    real values).  The inverse refuses a W with an entry that is not finite,
+    or whose 1-norm condition number ||W||_1 * ||W^-1||_1 exceeds
+    _COND_LIMIT = 1e12: there the float64 inverse keeps only about four
+    significant digits (relative error up to cond * 2^-53), and a W with a
+    repeated row, whose float64 pivots are rounding noise, lands at 1e16 or
+    above.  The bound is scale-free: c*W is refused exactly when W is.
     """
 
     def __init__(self, channels, rng, dtype=np.float32):
@@ -193,33 +197,33 @@ class InvertibleConv1x1:
             raise ValueError(f"conv1x1: expected {self.channels} channels, got {x.shape[1]}")
         return channel_mix(self.weight, x)
 
-    def _slogdet(self):
-        """W cast to float64, log|det W|, and whether the inverse may use W.
-
-        W is refused when an entry is not finite (slogdet warns on NaN and
-        passes inf) or when |det W| <= DET_THRESHOLD; a singular W has sign 0
-        and log|det W| = -inf.
-        """
+    def inverse(self, y):
         w = self.weight.data.astype(np.float64)
         if not np.isfinite(w).all():
-            return w, np.nan, False
-        sign, logabsdet = np.linalg.slogdet(w)
-        return w, float(logabsdet), bool(sign != 0 and logabsdet > np.log(DET_THRESHOLD))
-
-    def inverse(self, y):
-        w, _, invertible = self._slogdet()
-        if not invertible:
             raise SingularWeightError(
-                f"1x1 convolution weight singular: |det| <= {DET_THRESHOLD} "
-                "or an entry not finite, cannot invert"
+                "1x1 convolution weight has an entry not finite, cannot invert"
             )
-        w_inv = np.linalg.inv(w).astype(self.weight.dtype)
+        try:
+            w_inv = np.linalg.inv(w)
+            cond = np.linalg.norm(w, 1) * np.linalg.norm(w_inv, 1)
+        except np.linalg.LinAlgError:  # an exactly zero pivot
+            cond = np.inf
+        if not cond <= _COND_LIMIT:  # also refuses a NaN condition number
+            raise SingularWeightError(
+                f"1x1 convolution weight singular: 1-norm condition number above "
+                f"{_COND_LIMIT:g}, cannot invert"
+            )
         n, c, h, wd = y.shape
+        w_inv = w_inv.astype(self.weight.dtype)
         return np.matmul(w_inv, y.reshape(n, c, h * wd)).reshape(n, c, h, wd)
 
     def log_det(self, h, w):
-        """h*w * log|det W|: -inf for a singular W, NaN for a non-finite one."""
-        return h * w * self._slogdet()[1]
+        """h*w * log|det W| from float64 LAPACK slogdet: -inf for a singular
+        W, NaN for a non-finite one (slogdet warns on NaN and passes inf)."""
+        wt = self.weight.data.astype(np.float64)
+        if not np.isfinite(wt).all():
+            return np.nan
+        return h * w * float(np.linalg.slogdet(wt)[1])
 
     def parameters(self):
         return [self.weight]

@@ -201,32 +201,47 @@ class TestCriterion5JpegMonotonicity:
         """Batches of 4 give 540 Adam steps per model.  With batches of 16
         (140 steps) every model restored worse than its degraded inputs,
         and QF 30 -> 40 moved by a mean 0.1 dB across 16 seed pairs, so 8 of
-        them failed; at 540 steps it gains a mean 0.6 dB and 14 of 16 pass."""
+        them failed; at 540 steps it gains a mean 0.6 dB and 14 of 16 pass.
+        One pair's curve also moves with the float32 summation order, so the
+        claim is made on the mean over three (build, train) seed pairs,
+        fixed before any was run: by the spread of single pairs (0.45 dB)
+        about 1 correct numerics change in 100 flips the mean."""
         quality_factors = (10, 20, 30, 40)
+        seed_pairs = ((5, 6), (7, 8), (9, 10))
         train_imgs = smooth_patches(120, 16, np.random.default_rng(10))
         test_imgs = smooth_patches(40, 16, np.random.default_rng(3))
-        degraded_means, restored_means = [], []
-        for qf in quality_factors:
-            model = build(IraeConfig(flow_steps=2, levels=2, hidden_width=16, seed=5))
-            spec = DegradationSpec(kind="jpeg", quality_factor=qf)
-            model, _ = train(model, train_imgs, spec, epochs_max=20, batch_size=4, seed=6)
-            degraded = [apply_jpeg_sim(x, qf) for x in test_imgs]
-            with no_grad():
-                restored = model.forward(np.stack(degraded)).data
-            degraded_means.append(
-                float(np.mean([psnr(np.clip(d, 0, 1), x) for x, d in zip(test_imgs, degraded)]))
-            )
-            restored_means.append(
-                float(np.mean([psnr(np.clip(r, 0, 1), x) for x, r in zip(test_imgs, restored)]))
-            )
+        degraded_sets = [
+            np.stack([apply_jpeg_sim(x, qf) for x in test_imgs]) for qf in quality_factors
+        ]
+
+        def mean_psnr(images):
+            return float(np.mean([psnr(np.clip(y, 0, 1), x) for x, y in zip(test_imgs, images)]))
+
+        degraded_means = [mean_psnr(d) for d in degraded_sets]
+        restored_rows = []
+        for build_seed, train_seed in seed_pairs:
+            row = []
+            for qf, degraded in zip(quality_factors, degraded_sets):
+                model = build(IraeConfig(flow_steps=2, levels=2, hidden_width=16, seed=build_seed))
+                spec = DegradationSpec(kind="jpeg", quality_factor=qf)
+                model, _ = train(
+                    model, train_imgs, spec, epochs_max=20, batch_size=4, seed=train_seed
+                )
+                with no_grad():
+                    row.append(mean_psnr(model.forward(degraded).data))
+            restored_rows.append(row)
+        restored_means = np.mean(restored_rows, axis=0).tolist()
         deg_ok = all(a <= b for a, b in zip(degraded_means, degraded_means[1:]))
         res_ok = all(a <= b for a, b in zip(restored_means, restored_means[1:]))
         fmt = lambda xs: "/".join(f"{v:.2f}" for v in xs)
+        pairs = "; ".join(
+            f"seeds {bs},{ts} {fmt(row)}" for (bs, ts), row in zip(seed_pairs, restored_rows)
+        )
         report(
             5,
             deg_ok and res_ok,
             f"QF 10/20/30/40: degraded {fmt(degraded_means)} dB, "
-            f"restored {fmt(restored_means)} dB, both nondecreasing",
+            f"restored mean {fmt(restored_means)} dB ({pairs}), both nondecreasing",
         )
 
 

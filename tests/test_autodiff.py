@@ -227,12 +227,14 @@ class TestConv2dTanh:
 
 @st.composite
 def conv_cases(draw, relation):
-    """float64 (x, w, b, r) with Cin `relation` Cout, N in 1..3, k in {1,3,5}
-    and H != W; r is a random projection of the output for gradient checks."""
+    """float64 (x, w, b, r) with Cin `relation` Cout, N in 1..6, k in {1,3,5}
+    and H != W in 1..5, so both of conv2d_same's copy orders (N < W and
+    N >= W) are drawn; r is a random projection of the output for gradient
+    checks."""
     narrow = draw(st.integers(1, 3))
     wide = narrow if relation == "==" else narrow + draw(st.integers(1, 3))
     c_in, c_out = (wide, narrow) if relation == ">" else (narrow, wide)
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
     k = draw(st.sampled_from([1, 3, 5]))
     h, wd = draw(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -268,6 +270,60 @@ class TestConv2dLayouts:
                 return sum_all(mul(conv2d_same(*operands), Tensor(r)))
 
             assert_grad_matches_fd(f, leaf)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("c_in, c_out", [(2, 3), (2, 2), (3, 2)], ids=["<", "==", ">"])
+@pytest.mark.parametrize("n, wd", [(2, 5), (5, 3)], ids=["N<W", "N>=W"])
+class TestConv2dCopyOrders:
+    """conv2d_same pads into its batch-innermost buffer image by image when
+    N < W and as one transpose otherwise; each order, on each GEMM side,
+    against the loop oracle and finite differences."""
+
+    def arrays(self, n, wd, c_in, c_out, k):
+        rng = np.random.default_rng(100 * n + 10 * c_in + k)
+        return [
+            rng.standard_normal(shape)
+            for shape in [(n, c_in, 4, wd), (c_out, c_in, k, k), (c_out,), (n, c_out, 4, wd)]
+        ]
+
+    def test_forward_matches_loop_oracle(self, n, wd, c_in, c_out, k):
+        x, w, b, _ = self.arrays(n, wd, c_in, c_out, k)
+        out = conv2d_same(Tensor(x), Tensor(w), Tensor(b))
+        assert out.data.flags.c_contiguous
+        np.testing.assert_allclose(out.data, conv2d_loops(x, w, b), rtol=1e-12, atol=1e-12)
+
+    def test_gradients_match_finite_differences(self, n, wd, c_in, c_out, k):
+        *arrays, r = self.arrays(n, wd, c_in, c_out, k)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        for i, leaf in enumerate(leaves):
+
+            def f(t, i=i):
+                operands = [t if j == i else other for j, other in enumerate(leaves)]
+                return sum_all(mul(conv2d_same(*operands), Tensor(r)))
+
+            assert_grad_matches_fd(f, leaf)
+
+
+def test_conv2d_float32_at_desk_shape_matches_float64():
+    """The desk config's 32 -> 32 hidden conv on its second level: N=16,
+    4x4 (the whole-batch copy order).  float32 forward against the float64
+    loop oracle, and float32 gradients against float64 ones."""
+    rng = np.random.default_rng(44)
+    arrays = [rng.standard_normal(s) for s in [(16, 32, 4, 4), (32, 32, 3, 3), (32,)]]
+    r = rng.standard_normal((16, 32, 4, 4))
+    out = conv2d_same(*[Tensor(a.astype(np.float32)) for a in arrays])
+    expected = conv2d_loops(*arrays)
+    assert out.data.dtype == np.float32
+    np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-5 * np.abs(expected).max())
+    grads = {}
+    for dtype in (np.float32, np.float64):
+        leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+        backward(sum_all(mul(conv2d_same(*leaves), Tensor(r.astype(dtype)))))
+        grads[dtype] = [leaf.grad for leaf in leaves]
+    for g32, g64 in zip(grads[np.float32], grads[np.float64]):
+        assert g32.dtype == np.float32
+        np.testing.assert_allclose(g32, g64, rtol=0, atol=1e-5 * np.abs(g64).max())
 
 
 class TestReduce:

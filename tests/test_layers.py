@@ -11,7 +11,6 @@ from irae.autodiff import Tensor, backward, finite_diff_grad, no_grad, sum_all, 
 from irae.layers import (
     ActNorm,
     AffineCoupling,
-    DET_THRESHOLD,
     InvertibleConv1x1,
     SingularWeightError,
     lu_det,
@@ -230,21 +229,58 @@ class TestInvertibleConv1x1:
     @settings(max_examples=200, deadline=None)
     @given(case=conv1x1_cases())
     def test_random_well_conditioned_weights(self, case):
-        """Refuses exactly when the float64 reference |det W| <= DET_THRESHOLD;
-        otherwise inverse(forward(x)) == x and log_det matches the reference."""
+        """cond(W) <= 4 at every scale, so the inverse never refuses:
+        inverse(forward(x)) == x and log_det matches the reference."""
         layer, x = case
         _, _, h, w = x.shape
         det = np.linalg.det(layer.weight.data.astype(np.float64))
-        if abs(det) <= DET_THRESHOLD:
-            with pytest.raises(SingularWeightError):
-                layer.inverse(x)
-            return
         tol = 1e-4 if x.dtype == np.float32 else 1e-10
         back = layer.inverse(layer.forward(Tensor(x)).data)
         assert back.dtype == x.dtype
         assert np.max(np.abs(back - x)) <= tol * max(1.0, np.max(np.abs(x)))
         expected = h * w * np.log(abs(det))
         assert layer.log_det(h, w) == pytest.approx(expected, rel=1e-9, abs=1e-9 * h * w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        c=st.integers(1, 64),
+        log_scale=st.floats(-6.0, 6.0),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scaled_orthogonal_accepted_at_any_scale(self, c, log_scale, dtype, seed):
+        """cond(s*Q) = cond(Q) for every s in [1e-6, 1e6], however small or
+        large |det(s*Q)| = s**C gets: the inverse accepts and round-trips."""
+        rng = np.random.default_rng(seed)
+        layer = conv1x1_with(10.0**log_scale * random_orthogonal(c, rng), dtype)
+        x = rng.standard_normal((2, c, 3, 2)).astype(dtype)
+        back = layer.inverse(layer.forward(Tensor(x)).data)
+        tol = 1e-4 if dtype == np.float32 else 1e-10
+        assert np.max(np.abs(back - x)) <= tol * max(1.0, np.max(np.abs(x)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        c=st.integers(2, 64),
+        log_scale=st.floats(-6.0, 6.0),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_repeated_row_refused(self, c, log_scale, dtype, seed):
+        """A repeated row makes W singular at any scale; LAPACK either finds
+        an exactly zero pivot or leaves a condition number far above 1e12."""
+        rng = np.random.default_rng(seed)
+        weight = 10.0**log_scale * rng.standard_normal((c, c))
+        i, j = rng.choice(c, 2, replace=False)
+        weight[j] = weight[i]
+        with pytest.raises(SingularWeightError, match="singular"):
+            conv1x1_with(weight, dtype).inverse(np.zeros((1, c, 2, 2), dtype=dtype))
+
+    def test_half_identity_at_48_channels_inverts(self):
+        """|det(0.5*I)| = 0.5**48 = 3.6e-15 was once refused as singular,
+        though its condition number is 1."""
+        layer = conv1x1_with(0.5 * np.eye(48), np.float32)
+        x = np.random.default_rng(15).standard_normal((2, 48, 3, 3)).astype(np.float32)
+        np.testing.assert_array_equal(layer.inverse(layer.forward(Tensor(x)).data), x)
 
     def test_gradients(self):
         rng = np.random.default_rng(14)
