@@ -8,11 +8,13 @@ A graph and the tensors it connects belong to a single thread; tensors with
 ``requires_grad=False`` may be shared read-only.  Threads may share a
 parameter's numpy array if each gives it its own leaf Tensor, so that each
 accumulates its own ``.grad``: training runs its batch shards this way, on
-model replicas (``IraeModel.replica``).  Grad mode is one process-wide flag,
-so while shards record, no thread may enter ``no_grad``.
+model replicas (``IraeModel.replica``).
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -42,26 +44,25 @@ __all__ = [
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    enabled = True  # per thread: every thread starts in grad mode
+
+    def __bool__(self):
+        return self.enabled
 
 
-class no_grad:
-    """Context manager that suspends graph recording (inference paths).
+_grad_enabled = _GradMode()
 
-    Grad mode is one process-wide flag: entering this on any thread stops
-    recording on all threads until it exits.
-    """
 
-    def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
+@contextmanager
+def no_grad():
+    """Suspend graph recording on the calling thread only (inference paths)."""
+    prev, _grad_enabled.enabled = _grad_enabled.enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled.enabled = prev
 
 
 class Tensor:
@@ -121,7 +122,7 @@ def _result(data, parents, backward_fn):
     out.grad = None
     out._spent = False
     live = [p for p in parents if p.requires_grad]
-    if _grad_enabled and live:
+    if _grad_enabled.enabled and live:
         for p in live:
             if p._spent:
                 raise RuntimeError("building on a graph already consumed by backward()")

@@ -78,8 +78,9 @@ def _parse_value(kind, raw):
 
 
 def parse_config_file(path):
-    """Read a key=value file into a RunConfig; unknown keys are errors."""
+    """Read a key=value file into a RunConfig; unknown or repeated keys are errors."""
     cfg = RunConfig()
+    seen = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -90,6 +91,9 @@ def parse_config_file(path):
         key = key.strip()
         if key not in _RUN_DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         try:
             value = _parse_value(type(_RUN_DEFAULTS[key]), raw.strip())
         except ValueError as e:
@@ -195,7 +199,8 @@ def _restore_batches(paths):
 
 
 def _restore_batch(model, paths, out_dir):
-    restored = model.forward(np.stack([load_pnm(p) for p in paths])).data
+    with no_grad():
+        restored = model.forward(np.stack([load_pnm(p) for p in paths])).data
     for p, img in zip(paths, restored):
         save_pnm(out_dir / p.name, img)
 
@@ -209,8 +214,7 @@ def cmd_restore(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     if not model.actnorms_initialized:
         jobs = 1  # data-dependent init must happen on exactly one thread
-    # grad mode is process-global: switch it once here, never in the workers
-    with no_grad(), ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         list(pool.map(lambda b: _restore_batch(model, b, out_dir), batches))
     print(f"restored {len(paths)} images -> {out_dir}")
     return 0

@@ -121,7 +121,7 @@ class ActNorm:
         self.initialized = False
 
     def initialize(self, x):
-        """Data-dependent init from an [N,C,H,W] batch (not differentiated)."""
+        """Data-dependent init from a finite [N,C,H,W] batch (not differentiated)."""
         if self.initialized:
             raise RuntimeError("ActNorm already initialized")
         data = x.data if isinstance(x, Tensor) else np.asarray(x)
@@ -129,6 +129,8 @@ class ActNorm:
             raise ValueError(f"ActNorm.initialize: bad shape {data.shape}")
         if data.shape[0] * data.shape[2] * data.shape[3] < 2:
             raise ValueError("ActNorm.initialize: needs more than one element per channel")
+        if not np.isfinite(data).all():
+            raise ValueError("ActNorm.initialize: batch holds a value that is not finite")
         mean = data.mean(axis=(0, 2, 3), dtype=np.float64)
         std = data.std(axis=(0, 2, 3), dtype=np.float64)
         degenerate = std < STD_FLOOR

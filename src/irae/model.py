@@ -202,11 +202,11 @@ class IraeModel:
 
     def replica(self):
         """A model over this one's parameter arrays, shared without a copy,
-        but with its own leaf Tensors and ActNorm flags.  Another thread can
-        run forward and backward on it: its grads accumulate apart from
-        this model's, and an in-place update of this model's parameters
-        reaches it.  Build it only once every ActNorm is initialized; an
-        uninitialized replica would initialize the shared arrays itself."""
+        but with its own leaf Tensors and ActNorm flags.  A thread can run
+        forward and backward on it in its own grad mode: the grads collect
+        apart from this model's, and an in-place update of this model's
+        parameters reaches it.  Build it only once every ActNorm is
+        initialized, or it would initialize the shared arrays itself."""
         twin = _assemble(self.config, None)
         for mine, theirs in zip(self.parameters(), twin.parameters()):
             theirs.data = mine.data

@@ -197,16 +197,16 @@ def _shard_loss_grads(model, y, x, batch_size):
 def _loss_and_grads(model, y, x, shard, replicas, pool):
     """Mean L1 loss of one batch, as a float, and every parameter's gradient.
 
-    Once every ActNorm is initialized, a batch of more than `shard` images
-    is split into shards of `shard` images, the last one possibly smaller.
-    Each shard runs on its own replica of the model, made on first need
-    and kept in `replicas`, on a thread of `pool`.  Shard losses and
-    gradients are summed in shard order, so the result does not depend on
-    the number of threads.
+    Every step runs on a thread of `pool`.  Once every ActNorm is
+    initialized, a batch of more than `shard` images is split into shards
+    of `shard` images, the last one possibly smaller, each run on its own
+    replica of the model, made on first need and kept in `replicas`.
+    Shard losses and gradients are summed in shard order, so the result
+    does not depend on the number of threads.
     """
     n = len(x)
     if n <= shard or not model.actnorms_initialized:
-        return _shard_loss_grads(model, y, x, n)
+        return pool.submit(_shard_loss_grads, model, y, x, n).result()
     starts = range(0, n, shard)
     replicas += [model.replica() for _ in range(len(starts) - len(replicas))]
     futures = [
@@ -243,9 +243,9 @@ def train(model, images, spec, epochs_max, batch_size=16, seed=0):
     only on the batch shape, so the result does not depend on the thread
     count: min(shards, usable CPUs // BLAS threads), with the BLAS thread
     count read from OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
-    MKL_NUM_THREADS and taken as one per CPU when none is set.  Shards run
-    under the caller's grad mode, which no other thread may switch while
-    train() runs.  No thread outlives the call.
+    MKL_NUM_THREADS and taken as one per CPU when none is set.  An unsplit
+    batch runs on one of those threads too, so train() gives the same
+    result inside no_grad.  No thread outlives the call.
     """
     if len(images) == 0:
         raise ValueError("train: dataset is empty")

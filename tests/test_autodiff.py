@@ -4,6 +4,7 @@ The two oracles everything else leans on: a hand-rolled nested-loop
 convolution, and central finite differences for every backward rule.
 """
 
+import threading
 import tracemalloc
 import warnings
 
@@ -35,6 +36,7 @@ from irae.autodiff import (
     sum_all,
     tanh,
 )
+from irae.autodiff import _grad_enabled
 from irae.layers import squeeze, unsqueeze
 
 FD_STEP = 1e-5
@@ -441,6 +443,24 @@ class TestBackward:
         with no_grad():
             out = mul(x, x)
         assert not out.requires_grad
+
+    def test_grad_mode_belongs_to_the_calling_thread(self):
+        seen = []
+
+        def record():
+            x = Tensor([1.0], requires_grad=True)
+            seen.append((bool(_grad_enabled), mul(x, x).requires_grad))
+
+        assert bool(_grad_enabled)
+        with no_grad():
+            assert not bool(_grad_enabled)
+            worker = threading.Thread(target=record)
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            assert not bool(_grad_enabled)
+        assert bool(_grad_enabled)
+        assert seen == [(True, True)]
 
 
 class TestGradientsAgainstFiniteDifferences:

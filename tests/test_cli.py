@@ -64,6 +64,12 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config_file(path)
 
+    def test_repeated_key_names_file_both_lines_and_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("sigma=15\n# later\ntask=jpeg\nsigma = 30\n")
+        with pytest.raises(ValueError, match=r"run\.cfg:4: config key 'sigma' repeats line 1"):
+            parse_config_file(path)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("sigma 15\n")
@@ -485,7 +491,8 @@ class TestTrainRestorePipeline:
 
     def test_restore_jobs_switches_grad_mode_once(self, tmp_path, monkeypatch, capsys):
         """Worker A finishes its batch while worker B is still inside forward:
-        B must still run without a tape, and grad mode must be back on after."""
+        each worker switches off its own grad mode, so B still runs without a
+        tape, and the main thread's grad mode stays on."""
         model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4))
         randomize_parameters(model, np.random.default_rng(11))
         ckpt = tmp_path / "model.ckpt"
@@ -503,20 +510,19 @@ class TestTrainRestorePipeline:
         def racing_forward(self, y):
             if both_in_forward.wait() != 0:
                 assert first_saved.wait(timeout=30)
-            grad_mode_in_forward.append(autodiff._grad_enabled)
+            grad_mode_in_forward.append(bool(autodiff._grad_enabled))
             return forward(self, y)
 
         def signalling_save(path, img):
             save_pnm(path, img)
             first_saved.set()
 
-        monkeypatch.setattr(autodiff, "_grad_enabled", True)
         monkeypatch.setattr(IraeModel, "forward", racing_forward)
         monkeypatch.setattr(cli, "save_pnm", signalling_save)
         args = ["restore", "--checkpoint", str(ckpt), "--input", str(inputs)]
         assert main(args + ["--output", str(tmp_path / "out"), "--jobs", "2"]) == 0
         assert grad_mode_in_forward == [False, False]
-        assert autodiff._grad_enabled
+        assert bool(autodiff._grad_enabled)
 
     def test_restore_batches_mixed_shapes(self, tmp_path, monkeypatch, capsys):
         model = build(IraeConfig(flow_steps=1, levels=2, hidden_width=4))

@@ -94,6 +94,17 @@ class TestActNorm:
             layer.initialize(Tensor(data))
         assert layer.scale.data[0] == 1e8
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_first_batch_refused_and_layer_untouched(self, bad):
+        data = np.random.default_rng(8).uniform(0, 1, (2, 2, 4, 4))
+        data[1, 0, 2, 3] = bad
+        layer = ActNorm(2, dtype=np.float64)
+        with pytest.raises(ValueError, match="not finite"):
+            layer.initialize(Tensor(data))
+        assert not layer.initialized
+        assert np.array_equal(layer.scale.data, np.ones(2))
+        assert np.array_equal(layer.bias.data, np.zeros(2))
+
     def test_round_trip_scalar_example(self):
         layer = ActNorm(1, dtype=np.float64)
         layer.scale.data[...] = 2.0

@@ -95,6 +95,15 @@ class TestForwardInverse:
         assert out.shape == x.shape
         assert np.all(np.isfinite(out.data))
 
+    def test_fresh_model_refuses_non_finite_first_batch(self):
+        model = build(tiny_config(flow_steps=2, levels=2, hidden_width=8))
+        x = np.random.default_rng(1).uniform(0, 1, (3, 1, 8, 8))
+        x[2, 0, 5, 1] = np.inf
+        with pytest.raises(ValueError, match="not finite"):
+            model.forward(x)
+        assert not model.actnorms_initialized
+        assert all(np.isfinite(p.data).all() for p in model.parameters())
+
     def test_batch_duplication_duplicates_rows(self):
         model = build(tiny_config(flow_steps=2, levels=1, hidden_width=8))
         rng = np.random.default_rng(2)

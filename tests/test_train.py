@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import irae.train as train_module
-from irae.autodiff import Tensor, backward, finite_diff_grad, mul, sum_all
+from irae.autodiff import Tensor, backward, finite_diff_grad, mul, no_grad, sum_all
 from irae.degrade import DegradationSpec
 from irae.metrics import psnr
 from irae.model import IraeConfig, build, images_per_batch, randomize_parameters
@@ -346,18 +347,18 @@ class TestTrainLoop:
 
 
 def record_shard_threads(monkeypatch, workers):
-    """Force the shard worker count; returns the list of threads that ran a
-    shard (the main thread too, for a batch that was not split)."""
-    threads = []
+    """Force the shard worker count; returns a list of (thread, images) per
+    step call, one per shard or per unsplit batch."""
+    calls = []
     original = train_module._shard_loss_grads
 
-    def recorded(*args):
-        threads.append(threading.current_thread())
-        return original(*args)
+    def recorded(model, y, x, batch_size):
+        calls.append((threading.current_thread(), len(x)))
+        return original(model, y, x, batch_size)
 
     monkeypatch.setattr(train_module, "_shard_workers", lambda n_shards: workers)
     monkeypatch.setattr(train_module, "_shard_loss_grads", recorded)
-    return threads
+    return calls
 
 
 class TestShardedStep:
@@ -408,6 +409,61 @@ class TestShardedStep:
         for a, b in zip(grads_many, grads_one):
             assert np.array_equal(a, b)
 
+    def test_no_grad_on_another_thread_leaves_shards_recording(self):
+        """Thread A holds no_grad open for the whole sharded step: the shard
+        threads keep their own grad mode, so nothing changes."""
+        rng = np.random.default_rng(38)
+        model = randomize_parameters(build(tiny_config()), rng)
+        x = rng.uniform(0.0, 1.0, (4, 1, 64, 64))  # two shards of 2 images
+        y = x + 0.1 * rng.standard_normal(x.shape)
+
+        def run():
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                return train_module._loss_and_grads(model, y, x, 2, [], pool)
+
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_no_grad():
+            with no_grad():
+                entered.set()
+                release.wait(timeout=30)
+
+        holder = threading.Thread(target=hold_no_grad)
+        holder.start()
+        try:
+            assert entered.wait(timeout=30)
+            loss_held, grads_held = run()
+        finally:
+            release.set()
+            holder.join(timeout=30)
+        assert not holder.is_alive()
+        loss_alone, grads_alone = run()
+        assert loss_held == loss_alone
+        assert len(grads_held) == len(grads_alone) == len(model.parameters())
+        for a, b in zip(grads_held, grads_alone):
+            assert a.tobytes() == b.tobytes()
+
+    def test_train_inside_no_grad_matches_outside(self, monkeypatch):
+        # 6 training images at 64x64 (2 per shard), batches of 4 and 2: the
+        # first epoch's 4-image batch is unsplit because it initializes
+        # ActNorm, the second epoch's is two shards
+        calls = record_shard_threads(monkeypatch, 2)
+        images = smooth_patches(7, 64, np.random.default_rng(39))
+        spec = DegradationSpec(kind="awgn", sigma=25.0)
+        runs = []
+        for grad_mode in (nullcontext, no_grad):
+            calls.clear()
+            with grad_mode():
+                model, history = train(
+                    build(tiny_config(seed=40)), images, spec, epochs_max=2, batch_size=4, seed=41
+                )
+            assert [n for _, n in calls] == [4, 2, 2, 2, 2]
+            runs.append((history_lines(history), model.snapshot()))
+        (lines_out, (params_out, _)), (lines_in, (params_in, _)) = runs
+        assert len(lines_out) == 2 and lines_out == lines_in
+        for a, b in zip(params_out, params_in):
+            assert a.tobytes() == b.tobytes()
+
     def test_history_and_parameters_independent_of_worker_count(self, monkeypatch):
         # 18 training images at 32x32: per epoch one batch of two 8-image
         # shards and one unsplit batch of 2; the first step is unsplit
@@ -416,10 +472,12 @@ class TestShardedStep:
         spec = DegradationSpec(kind="awgn", sigma=25.0)
         runs = []
         for workers in (1, 2):
-            threads = record_shard_threads(monkeypatch, workers)
+            calls = record_shard_threads(monkeypatch, workers)
             model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4, seed=31))
             model, history = train(model, images, spec, epochs_max=3, batch_size=16, seed=32)
-            assert sum(t is not threading.main_thread() for t in threads) == 4
+            assert len(calls) == 8
+            assert all(t is not threading.main_thread() for t, _ in calls)
+            assert sum(n == 8 for _, n in calls) == 4
             runs.append((history_lines(history), model.snapshot()))
         (lines_1, (params_1, _)), (lines_2, (params_2, _)) = runs
         assert len(lines_1) == 3 and lines_1 == lines_2
@@ -427,7 +485,7 @@ class TestShardedStep:
             assert a.tobytes() == b.tobytes()
 
     def test_no_thread_outlives_train(self, monkeypatch):
-        threads = record_shard_threads(monkeypatch, 2)
+        calls = record_shard_threads(monkeypatch, 2)
         images = smooth_patches(20, 32, np.random.default_rng(33))
         spec = DegradationSpec(kind="awgn", sigma=25.0)
         model = randomize_parameters(
@@ -440,11 +498,11 @@ class TestShardedStep:
         assert threading.active_count() == before
 
         # a NaN scale-gate bias makes the first (split) step's loss NaN
-        threads.clear()
+        calls.clear()
         model.decoder_levels[-1][-1].coupling.b3.data[...] = np.nan
         _, history = train(model, images, spec, epochs_max=1, batch_size=16, seed=36)
         assert history == []
-        assert len(threads) == 2 and threading.main_thread() not in threads
+        assert len(calls) == 2 and all(t is not threading.main_thread() for t, _ in calls)
         assert threading.active_count() == before
 
 
