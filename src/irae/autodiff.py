@@ -1,8 +1,11 @@
 """Dense NCHW tensors with tape-based reverse-mode automatic differentiation.
 
-Deliberately small: float32/float64 only, row-major layout, explicit shapes,
-and exactly one implicit broadcast: a per-channel vector [C] as the right
-operand of add/sub/mul, against a batch [N,C,H,W] on the left.  ``backward``
+Deliberately small: float32/float64 only, explicit shapes, and exactly one
+implicit broadcast: a per-channel vector [C] as the right operand of
+add/sub/mul, against a batch [N,C,H,W] on the left.  Memory layout is not
+fixed: most ops return row-major arrays, but ``conv2d_same`` returns its
+result and its input gradient as views of the batch-innermost [C,H,W,N]
+buffer its GEMM wrote, and every op accepts any layout.  ``backward``
 frees the tape record by record; there are no higher-order derivatives.
 A graph and the tensors it connects belong to a single thread; tensors with
 ``requires_grad=False`` may be shared read-only.  Threads may share a
@@ -336,38 +339,48 @@ def channel_mix(w, x):
 
 
 def _pad_chwn(a, pad):
-    """[N,C,H,W] -> zero-padded copy laid out [C,H+2p,W+2p,N], batch innermost.
+    """[N,C,H,W] -> zero-padded [C,H+2p,W+2p,N], batch innermost, C-contiguous.
 
-    numpy runs a copy's inner loop along the destination's contiguous axis:
-    N for the whole batch, W for one image.  So the copy goes image by image
-    when N < W and as one transpose otherwise.  (The copy back to NCHW needs
-    no such rule: there the destination's C, H, W axes fold into one run.)
+    Conv results and input gradients are already batch-innermost views
+    (``a.transpose(1, 2, 3, 0)`` is C-contiguous): with ``pad == 0`` that view
+    is returned as is, and otherwise it fills the padded interior in one copy.
+    numpy runs a copy's inner loop along the destination's contiguous axis,
+    N here, so an NCHW-contiguous input with N < W is copied image by image,
+    each copy running along W.
     """
     n, c, h, wd = a.shape
+    chwn = a.transpose(1, 2, 3, 0)
+    batch_innermost = chwn.flags.c_contiguous
+    if pad == 0 and batch_innermost:
+        return chwn
     ap = np.zeros((c, h + 2 * pad, wd + 2 * pad, n), dtype=a.dtype)
     inner = ap[:, pad : pad + h, pad : pad + wd]
-    if n < wd:
+    if n < wd and not batch_innermost:
         for i in range(n):
             inner[..., i] = a[i]
     else:
-        inner[...] = a.transpose(1, 2, 3, 0)
+        inner[...] = chwn
     return ap
 
 
 def _im2col(ap, k):
-    """Padded [C,Hp,Wp,N] -> window matrix [C*k*k, H*W*N], in one copy.
+    """C-contiguous padded [C,Hp,Wp,N] -> window matrix [C*k*k, H*W*N], in one copy.
 
     Rows run in (c, dy, dx) order and columns in (h, w, n) order.  Each
     window row is a strided view whose (w, n) axes fold into one contiguous
-    run of W*N elements.  The view is a plain ``np.ndarray``:
-    sliding_window_view's ``__array_interface__`` dict churns CPython's
-    interned-string table, whose 0.9 MiB rebuilds then land at random in a
-    training step's memory peak.
+    run of W*N elements.  Its strides come from the shape, not from
+    ``ap.strides``: a C-contiguous view may carry any stride on a length-1
+    axis.  The view is a plain ``np.ndarray``: sliding_window_view's
+    ``__array_interface__`` dict churns CPython's interned-string table,
+    whose 0.9 MiB rebuilds then land at random in a training step's memory
+    peak.
     """
     c, hp, wp, n = ap.shape
     h, wd = hp - k + 1, wp - k + 1
-    s_c, s_h, s_w, s_n = ap.strides
-    win = np.ndarray((c, k, k, h, wd * n), ap.dtype, ap, 0, (s_c, s_h, s_w, s_h, s_n))
+    s_w = n * ap.itemsize
+    s_h = wp * s_w
+    strides = (hp * s_h, s_h, s_w, s_h, ap.itemsize)
+    win = np.ndarray((c, k, k, h, wd * n), ap.dtype, ap, 0, strides)
     return win.reshape(c * k * k, -1)
 
 
@@ -402,14 +415,18 @@ def conv2d_same(x, w, b=None, tanh=False):
     are one GEMM each over a batch-innermost layout: operands are padded into
     [C, H+2p, W+2p, N] buffers (see ``_pad_chwn``), so each window copy runs
     over W*N contiguous elements, and GEMM columns are pixels in (h, w, n)
-    order (see ``_correlate``).  The input gradient correlates the output
-    gradient with the kernel flipped in space and its channel axes swapped,
-    and the weight gradient reuses the narrower side's im2col (x's when
-    Cin <= Cout, else the output gradient's).  Each forward output and input
-    gradient element is the same dot product, in the same order, as with
-    the batch outermost, so both are bitwise what a [C, N*H*W] layout
-    gives; the weight gradient sums its pixels in (h, w, n) order.  The
-    tape keeps no padded copy of x.
+    order (see ``_correlate``).  The result and the input gradient stay in
+    the [C, H, W, N] memory the GEMM wrote, as [N, C, H, W]-shaped views, so
+    a conv that feeds another conv costs no layout copy in either pass.  The
+    input gradient correlates the output gradient with the kernel flipped in
+    space and its channel axes swapped, and the weight gradient reuses the
+    narrower side's im2col (x's when Cin < Cout, else the output
+    gradient's, which the input gradient shares).  Each forward output and
+    input gradient element is the same dot product, in the same order, as
+    with the batch outermost, so both are bitwise what a [C, N*H*W] layout
+    gives; the weight and bias gradients sum their pixels in (h, w, n)
+    order, whatever the layout of the incoming gradient.  The tape keeps no
+    padded copy of x.
     """
     _check_nchw(x, "conv2d_same")
     if w.ndim != 4 or w.shape[2] != w.shape[3]:
@@ -433,7 +450,7 @@ def conv2d_same(x, w, b=None, tanh=False):
     acc = _correlate(_pad_chwn(x.data, pad), w.data)
     if b is not None:
         acc += b.data[:, None, None, None]
-    data = np.ascontiguousarray(acc.transpose(3, 0, 1, 2))
+    data = acc.transpose(3, 0, 1, 2)
     if tanh:
         np.tanh(data, out=data)
 
@@ -442,13 +459,13 @@ def conv2d_same(x, w, b=None, tanh=False):
     def bwd():
         g = out.grad * (1 - data * data) if tanh else out.grad
         flipped = w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-        if c_in <= c_out:
+        go = _pad_chwn(g, 0).reshape(c_out, -1)  # a view when g comes from a conv
+        if c_in < c_out:
             if x.requires_grad:
                 gx = _correlate(_pad_chwn(g, pad), flipped)
             if w.requires_grad:
-                go = _pad_chwn(g, 0).reshape(c_out, -1)
                 gw = (_im2col(_pad_chwn(x.data, pad), k) @ go.T).T.reshape(w.shape)
-        else:  # the narrow im2col is g's, and both gradients use it
+        else:  # g's im2col is the narrower or equal one; both gradients use it
             cols = _im2col(_pad_chwn(g, pad), k)
             if x.requires_grad:
                 gx = (flipped.reshape(c_in, -1) @ cols).reshape(c_in, h, wd, n)
@@ -456,11 +473,11 @@ def conv2d_same(x, w, b=None, tanh=False):
                 gw = cols @ _pad_chwn(x.data, 0).reshape(c_in, -1).T
                 gw = gw.reshape(c_out, k, k, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
         if x.requires_grad:
-            _accum(x, np.ascontiguousarray(gx.transpose(3, 0, 1, 2)))
+            _accum(x, gx.transpose(3, 0, 1, 2))
         if w.requires_grad:
             _accum(w, np.ascontiguousarray(gw))
         if b is not None and b.requires_grad:
-            _accum(b, g.sum(axis=(0, 2, 3)))
+            _accum(b, go.sum(axis=1))
 
     out = _result(data, parents, bwd)
     return out
@@ -484,7 +501,7 @@ def narrow_channels(x, start, stop):
         raise ValueError(f"narrow_channels: bad range [{start}:{stop}] for C={x.shape[1]}")
 
     def bwd():
-        g = np.zeros(x.shape, dtype=x.dtype)
+        g = np.zeros_like(x.data)  # keeps x's layout, say a conv's [C,H,W,N]
         g[:, start:stop] = out.grad
         _accum(x, g)
 
@@ -559,19 +576,20 @@ def finite_diff_grad(f, x, h=1e-5):
     """Central-difference gradient of a scalar-valued f at leaf tensor x.
 
     The independent oracle for every backward rule in this module; runs f
-    with the tape suspended, perturbing one coordinate at a time.
+    with the tape suspended, perturbing one coordinate of ``x.data`` in place
+    at a time, whatever its memory layout.
     """
     if h <= 0:
         raise ValueError("finite_diff_grad: h must be positive")
-    flat = x.data.reshape(-1)
-    grad = np.empty(flat.shape, dtype=np.float64)
+    data = x.data
+    grad = np.empty(data.shape, dtype=np.float64)
     with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
+        for i in np.ndindex(data.shape):
+            orig = data[i]
+            data[i] = orig + h
             fp = f(x).item()
-            flat[i] = orig - h
+            data[i] = orig - h
             fm = f(x).item()
-            flat[i] = orig
+            data[i] = orig
             grad[i] = (fp - fm) / (2 * h)
-    return grad.reshape(x.shape).astype(x.dtype, copy=False)
+    return grad.astype(x.dtype, copy=False)

@@ -292,7 +292,7 @@ class TestConv2dCopyOrders:
     def test_forward_matches_loop_oracle(self, n, wd, c_in, c_out, k):
         x, w, b, _ = self.arrays(n, wd, c_in, c_out, k)
         out = conv2d_same(Tensor(x), Tensor(w), Tensor(b))
-        assert out.data.flags.c_contiguous
+        assert out.data.transpose(1, 2, 3, 0).flags.c_contiguous
         np.testing.assert_allclose(out.data, conv2d_loops(x, w, b), rtol=1e-12, atol=1e-12)
 
     def test_gradients_match_finite_differences(self, n, wd, c_in, c_out, k):
@@ -305,6 +305,54 @@ class TestConv2dCopyOrders:
                 return sum_all(mul(conv2d_same(*operands), Tensor(r)))
 
             assert_grad_matches_fd(f, leaf)
+
+
+def conv_result(rng, shape):
+    """A conv2d_same result of `shape`: an [N,C,H,W] view of the [C,H,W,N]
+    memory its GEMM wrote."""
+    n, c, h, wd = shape
+    out = conv2d_same(Tensor(rng.standard_normal((n, 2, h, wd))),
+                      Tensor(rng.standard_normal((c, 2, 3, 3)))).data
+    assert out.transpose(1, 2, 3, 0).flags.c_contiguous
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("c_in, c_out", [(2, 3), (3, 3), (3, 2)], ids=["<", "==", ">"])
+@pytest.mark.parametrize("n", [1, 2, 6], ids=["N=1", "N<W", "N>=W"])
+def test_conv2d_on_conv_results_bitwise_equal_to_row_major_copies(n, c_in, c_out, k):
+    """Fed another conv's batch-innermost result as its input and as its
+    incoming gradient, conv2d_same gives bitwise the forward and the x, w
+    and b gradients it gives on row-major copies of them."""
+    rng = np.random.default_rng(100 * n + 10 * c_in + c_out + k)
+    x = conv_result(rng, (n, c_in, 4, 5))
+    r = conv_result(rng, (n, c_out, 4, 5))
+    w = rng.standard_normal((c_out, c_in, k, k))
+    b = rng.standard_normal(c_out)
+    runs = []
+    for layout in (lambda a: a, np.ascontiguousarray):
+        leaves = [Tensor(a, requires_grad=True) for a in (layout(x), w.copy(), b.copy())]
+        y = conv2d_same(*leaves)
+        backward(sum_all(mul(y, Tensor(layout(r)))))
+        runs.append([y.data] + [leaf.grad for leaf in leaves])
+    for view, row_major in zip(*runs):
+        assert view.tobytes() == row_major.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 6], ids=["N=1", "N<W", "N>=W"])
+def test_narrow_channels_gradient_on_a_conv_result(n):
+    """The gradient of a channel slice of a conv result equals its gradient
+    on a row-major copy, and keeps the conv's batch-innermost layout."""
+    rng = np.random.default_rng(n)
+    x = conv_result(rng, (n, 4, 4, 5))
+    r = Tensor(rng.standard_normal((n, 2, 4, 5)))
+    grads = []
+    for data in (x, np.ascontiguousarray(x)):
+        leaf = Tensor(data, requires_grad=True)
+        backward(sum_all(mul(narrow_channels(leaf, 1, 3), r)))
+        grads.append(leaf.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()
+    assert grads[0].transpose(1, 2, 3, 0).flags.c_contiguous
 
 
 def test_conv2d_float32_at_desk_shape_matches_float64():
@@ -563,6 +611,20 @@ class TestFiniteDiff:
         x = Tensor([3.0])
         fd = finite_diff_grad(lambda t: sum_all(mul(t, t)), x, 1e-5)
         np.testing.assert_allclose(fd, [6.0], atol=1e-8)
+
+    def test_perturbs_a_non_contiguous_leaf_in_place(self):
+        data = np.arange(1.0, 7.0).reshape(2, 3).T
+        x = Tensor(data)
+        fd = finite_diff_grad(lambda t: sum_all(mul(t, t)), x, 1e-5)
+        np.testing.assert_allclose(fd, 2 * data, rtol=1e-8)
+        assert x.data is data
+        np.testing.assert_array_equal(data, np.arange(1.0, 7.0).reshape(2, 3).T)
+
+    def test_read_only_leaf_raises(self):
+        data = np.ones(3)
+        data.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            finite_diff_grad(lambda t: sum_all(t), Tensor(data), 1e-5)
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError, match="positive"):
