@@ -205,15 +205,23 @@ def _restore_batch(model, paths, out_dir):
         save_pnm(out_dir / p.name, img)
 
 
+def _load_trained(path):
+    """load_checkpoint(path), refused when its ActNorms were never
+    initialized: inference runs the stored model as it is, so no image
+    decides another's ActNorm parameters."""
+    model = load_checkpoint(path)
+    if not model.actnorms_initialized:
+        raise ValueError(f"{path}: ActNorms are uninitialized; inference runs only a trained model")
+    return model
+
+
 def cmd_restore(args):
     jobs = _at_least_one(args, "jobs")
-    model = load_checkpoint(args.checkpoint)
+    model = _load_trained(args.checkpoint)
     paths = _list_images(args.input)
     batches = _restore_batches(paths)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if not model.actnorms_initialized:
-        jobs = 1  # data-dependent init must happen on exactly one thread
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         list(pool.map(lambda b: _restore_batch(model, b, out_dir), batches))
     print(f"restored {len(paths)} images -> {out_dir}")
@@ -267,7 +275,7 @@ def cmd_verify(args):
             if getattr(args, name) is not None:
                 flag = "--" + name.replace("_", "-")
                 raise ValueError(f"verify: {flag} cannot be used with --checkpoint")
-        model = load_checkpoint(args.checkpoint)
+        model = _load_trained(args.checkpoint)
         if args.precision:
             model = _recast_model(model, args.precision)
     else:

@@ -197,21 +197,19 @@ def _shard_loss_grads(model, y, x, batch_size):
 def _loss_and_grads(model, y, x, shard, replicas, pool):
     """Mean L1 loss of one batch, as a float, and every parameter's gradient.
 
-    Every step runs on a thread of `pool`.  Once every ActNorm is
-    initialized, a batch of more than `shard` images is split into shards
-    of `shard` images, the last one possibly smaller, each run on its own
-    replica of the model, made on first need and kept in `replicas`.
-    Shard losses and gradients are summed in shard order, so the result
-    does not depend on the number of threads.
+    The batch runs as shards of `shard` images, the last one possibly
+    smaller, or as one shard while any ActNorm is uninitialized, each on a
+    thread of `pool`: shard 0 on `model`, shard i on replicas[i - 1], made
+    on first need.  Losses and gradients are summed in shard order, so the
+    result does not depend on the number of threads.
     """
     n = len(x)
-    if n <= shard or not model.actnorms_initialized:
-        return pool.submit(_shard_loss_grads, model, y, x, n).result()
+    shard = shard if model.actnorms_initialized else n
     starts = range(0, n, shard)
-    replicas += [model.replica() for _ in range(len(starts) - len(replicas))]
+    replicas += [model.replica() for _ in range(len(starts) - 1 - len(replicas))]
     futures = [
-        pool.submit(_shard_loss_grads, r, y[i : i + shard], x[i : i + shard], n)
-        for r, i in zip(replicas, starts)
+        pool.submit(_shard_loss_grads, m, y[i : i + shard], x[i : i + shard], n)
+        for m, i in zip([model, *replicas], starts)
     ]
     parts = [f.result() for f in futures]
     loss_val = sum(loss for loss, _ in parts)
@@ -233,19 +231,18 @@ def train(model, images, spec, epochs_max, batch_size=16, seed=0):
     validation PSNR stops training early: that epoch is not recorded, and
     the model goes back to the best finite epoch, if there is one.
 
-    A batch of more than images_per_batch(H, W) images (BATCH_PIXELS per
-    channel) is split into shards of that many images, the last one
-    possibly smaller, once every ActNorm is initialized; ActNorm's
-    data-dependent init always sees the whole first batch.  Each shard's
-    forward, loss and backward runs on a thread, on a replica of the model
-    over the same parameter arrays.  The shard losses and gradients are
-    summed in shard order before one Adam step.  Shard membership depends
-    only on the batch shape, so the result does not depend on the thread
-    count: min(shards, usable CPUs // BLAS threads), with the BLAS thread
-    count read from OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
-    MKL_NUM_THREADS and taken as one per CPU when none is set.  An unsplit
-    batch runs on one of those threads too, so train() gives the same
-    result inside no_grad.  No thread outlives the call.
+    Each batch runs as shards of images_per_batch(H, W) images
+    (BATCH_PIXELS per channel), the last one possibly smaller; the first
+    batch is one shard, so ActNorm's data-dependent init sees it whole.
+    The shards run on threads, the first on the model and the rest on
+    replicas over the same parameter arrays, and their losses and gradients
+    are summed in shard order before one Adam step.  So the result depends
+    on the batch shape only, not on the thread count: min(shards, usable
+    CPUs // BLAS threads), with the BLAS thread count read from
+    OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS and taken as
+    one per CPU when none is set.  No step runs on the calling thread, so
+    train() gives the same result inside no_grad.  No thread outlives the
+    call.
     """
     if len(images) == 0:
         raise ValueError("train: dataset is empty")

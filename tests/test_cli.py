@@ -334,6 +334,59 @@ class TestErrorHandling:
         assert "image sets differ" in capsys.readouterr().err
 
 
+def refuse_actnorm_init(monkeypatch):
+    def no_init(self, x):
+        pytest.fail("ActNorm initialized during inference")
+
+    monkeypatch.setattr(layers.ActNorm, "initialize", no_init)
+
+
+class TestInferenceNeverInitializes:
+    """restore and verify run a model as stored: a checkpoint whose ActNorms
+    were never initialized is refused, and no ActNorm is initialized."""
+
+    @pytest.fixture
+    def untrained(self, tmp_path):
+        ckpt = tmp_path / "untrained.ckpt"
+        save_checkpoint(build(IraeConfig(flow_steps=1, levels=1, hidden_width=4)), ckpt)
+        return str(ckpt)
+
+    def test_restore_refuses_untrained_checkpoint(self, tmp_path, untrained, monkeypatch, capsys):
+        refuse_actnorm_init(monkeypatch)
+        inputs, out = tmp_path / "inputs", tmp_path / "out"
+        write_dataset(inputs, smooth_patches(3, 8, np.random.default_rng(17)))
+        code = main(["restore", "--checkpoint", untrained, "--input", str(inputs), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert untrained in captured.err and "uninitialized" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("precision", [[], ["--precision", "float64"]])
+    def test_verify_refuses_untrained_checkpoint(self, untrained, precision, monkeypatch, capsys):
+        refuse_actnorm_init(monkeypatch)
+        code = main(["verify", "--checkpoint", untrained, "--trials", "2"] + precision)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert untrained in captured.err and "uninitialized" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_fresh_model_and_trained_checkpoint_run_without_init(self, tmp_path, monkeypatch, capsys):
+        refuse_actnorm_init(monkeypatch)
+        # randomize_parameters marks a fresh model's ActNorms initialized
+        assert main(["verify", "--flow-steps", "1", "--levels", "1", "--hidden-width", "4", "--trials", "2"]) == 0
+        assert "PASS" in capsys.readouterr().out
+        model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4))
+        ckpt = str(tmp_path / "model.ckpt")
+        save_checkpoint(randomize_parameters(model, np.random.default_rng(18)), ckpt)
+        assert main(["verify", "--checkpoint", ckpt, "--trials", "2"]) == 0
+        assert "PASS" in capsys.readouterr().out
+        inputs, out = tmp_path / "inputs", tmp_path / "out"
+        write_dataset(inputs, smooth_patches(3, 8, np.random.default_rng(19)))
+        assert main(["restore", "--checkpoint", ckpt, "--input", str(inputs), "--output", str(out)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == ["img000.pgm", "img001.pgm", "img002.pgm"]
+
+
 class TestEvalCommand:
     def test_self_eval_hits_caps(self, tmp_path, capsys):
         imgs = smooth_patches(3, 16, np.random.default_rng(2))

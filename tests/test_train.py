@@ -348,7 +348,7 @@ class TestTrainLoop:
 
 def record_shard_threads(monkeypatch, workers):
     """Force the shard worker count; returns a list of (thread, images) per
-    step call, one per shard or per unsplit batch."""
+    step call, one per shard."""
     calls = []
     original = train_module._shard_loss_grads
 
@@ -362,8 +362,9 @@ def record_shard_threads(monkeypatch, workers):
 
 
 class TestShardedStep:
-    """A batch larger than the pixel budget is split into shards, each run on
-    its own model replica, with losses and gradients summed in shard order."""
+    """A batch larger than the pixel budget is split into shards, the first
+    run on the model and each later one on its own model replica, with
+    losses and gradients summed in shard order."""
 
     @settings(max_examples=25, deadline=None)
     @given(size=st.sampled_from([48, 64, 72]), data=st.data())
@@ -378,13 +379,54 @@ class TestShardedStep:
         replicas = []
         with ThreadPoolExecutor(max_workers=2) as pool:
             loss, grads = train_module._loss_and_grads(model, y, x, shard, replicas, pool)
-        assert len(replicas) == (math.ceil(n / shard) if n > shard else 0)
+        assert len(replicas) == math.ceil(n / shard) - 1
 
         expected = l1_loss(model.forward(y), Tensor(x))
         backward(expected)
         assert abs(loss - expected.item()) <= 1e-10 * expected.item()
         for p, g in zip(model.parameters(), grads):
             assert np.linalg.norm(g - p.grad) <= 1e-10 * np.linalg.norm(p.grad)
+
+    def test_first_shard_runs_on_the_model(self, monkeypatch):
+        # 18 training images at 32x32 (8 per shard), batches of 16 and 2; one
+        # worker runs the shards in submission order
+        calls = []
+        original = train_module._shard_loss_grads
+
+        def recorded(model, y, x, batch_size):
+            calls.append((model, len(x)))
+            return original(model, y, x, batch_size)
+
+        monkeypatch.setattr(train_module, "_shard_workers", lambda n_shards: 1)
+        monkeypatch.setattr(train_module, "_shard_loss_grads", recorded)
+        model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4, seed=42))
+        images = smooth_patches(20, 32, np.random.default_rng(43))
+        spec = DegradationSpec(kind="awgn", sigma=25.0)
+        train(model, images, spec, epochs_max=2, batch_size=16, seed=44)
+        # the first step initializes ActNorm: one call on the whole batch
+        assert [n for _, n in calls] == [16, 2, 8, 8, 2]
+        on_model = [m is model for m, _ in calls]
+        assert on_model == [True, True, True, False, True]
+
+    def test_first_batch_is_one_shard_bitwise_equal_to_a_plain_step(self):
+        """Before ActNorm init, a batch of more than `shard` images is one
+        shard on the model itself; its sum of one loss and one gradient
+        each is the plain step's, bit for bit."""
+        rng = np.random.default_rng(45)
+        model = build(tiny_config())
+        x = rng.uniform(0.0, 1.0, (5, 1, 64, 64))
+        y = x + 0.1 * rng.standard_normal(x.shape)
+        replicas = []
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            loss, grads = train_module._loss_and_grads(model, y, x, 2, replicas, pool)
+        assert model.actnorms_initialized and replicas == []
+
+        fresh = build(tiny_config())
+        expected = l1_loss(fresh.forward(y), Tensor(x))
+        backward(expected)
+        assert loss == expected.item()
+        for p, g in zip(fresh.parameters(), grads):
+            assert np.array_equal(g, p.grad)
 
     def test_more_threads_than_cores_with_fast_switching_lose_no_update(self):
         """Six shards on six threads, switching every microsecond: a gradient
@@ -445,7 +487,7 @@ class TestShardedStep:
 
     def test_train_inside_no_grad_matches_outside(self, monkeypatch):
         # 6 training images at 64x64 (2 per shard), batches of 4 and 2: the
-        # first epoch's 4-image batch is unsplit because it initializes
+        # first epoch's 4-image batch is one shard because it initializes
         # ActNorm, the second epoch's is two shards
         calls = record_shard_threads(monkeypatch, 2)
         images = smooth_patches(7, 64, np.random.default_rng(39))
@@ -466,8 +508,8 @@ class TestShardedStep:
 
     def test_history_and_parameters_independent_of_worker_count(self, monkeypatch):
         # 18 training images at 32x32: per epoch one batch of two 8-image
-        # shards and one unsplit batch of 2; the first step is unsplit
-        # because it initializes ActNorm
+        # shards and one batch of 2; the first step is one shard because it
+        # initializes ActNorm
         images = smooth_patches(20, 32, np.random.default_rng(30))
         spec = DegradationSpec(kind="awgn", sigma=25.0)
         runs = []
