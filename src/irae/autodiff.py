@@ -1,8 +1,8 @@
 """Dense NCHW tensors with tape-based reverse-mode automatic differentiation.
 
-Deliberately small: float32/float64 only, explicit shapes, and exactly one
-implicit broadcast: a per-channel vector [C] as the right operand of
-add/sub/mul, against a batch [N,C,H,W] on the left.  Memory layout is not
+Deliberately small: float32/float64 only, explicit shapes, and no implicit
+broadcast: add/sub/mul take two tensors of one shape, or a tensor and a
+number (ActNorm's per-channel affine is its own record).  Memory layout is not
 fixed: most ops return row-major arrays, but ``conv2d_same`` returns its
 result and its input gradient as views of the batch-innermost [C,H,W,N]
 buffer its GEMM wrote, and every op accepts any layout.  ``backward``
@@ -148,38 +148,24 @@ def _check_dtypes(a, b, name):
         raise ValueError(f"{name}: mixed dtypes {a.dtype} vs {b.dtype}")
 
 
-def _right_is_channel(a, b, name):
-    """False when a and b share a shape, True when b is [C] against a [N,C,H,W]."""
-    if a.shape == b.shape:
-        return False
-    if b.ndim == 1 and a.ndim == 4 and b.shape[0] == a.shape[1]:
-        return True
-    raise ValueError(f"{name}: incompatible shapes {a.shape} and {b.shape}")
-
-
 def _chan(v):
     return v.reshape(1, -1, 1, 1)
 
 
 def _binary(name, a, b, fn, grad_a, grad_b):
-    """Shared body of add/sub/mul.
-
-    A [C] right operand is broadcast for fn and its gradient folded back to
-    [C]; grad_a(g, av, bv) and grad_b(g, av, bv) give each operand's unfolded
-    gradient from the output gradient g and the broadcast operands.
-    """
+    """add/sub/mul of two tensors of one shape and dtype; grad_a(g, av, bv)
+    and grad_b(g, av, bv) give each operand's gradient from the output's, g."""
     _check_dtypes(a, b, name)
-    channel = _right_is_channel(a, b, name)
-    av = a.data
-    bv = _chan(b.data) if channel else b.data
+    if a.shape != b.shape:
+        raise ValueError(f"{name}: incompatible shapes {a.shape} and {b.shape}")
+    av, bv = a.data, b.data
 
     def bwd():
         g = out.grad
         if a.requires_grad:
             _accum(a, grad_a(g, av, bv))
         if b.requires_grad:
-            gb = grad_b(g, av, bv)
-            _accum(b, gb.sum(axis=(0, 2, 3)) if channel else gb)
+            _accum(b, grad_b(g, av, bv))
 
     out = _result(fn(av, bv), (a, b), bwd)
     return out
@@ -345,8 +331,8 @@ def _pad_chwn(a, pad):
     (``a.transpose(1, 2, 3, 0)`` is C-contiguous): with ``pad == 0`` that view
     is returned as is, and otherwise it fills the padded interior in one copy.
     numpy runs a copy's inner loop along the destination's contiguous axis,
-    N here, so an NCHW-contiguous input with N < W is copied image by image,
-    each copy running along W.
+    N here, so an NCHW-contiguous input with 2*N < W is copied image by
+    image, each copy running along W; from N = W/2 up one copy is faster.
     """
     n, c, h, wd = a.shape
     chwn = a.transpose(1, 2, 3, 0)
@@ -355,7 +341,7 @@ def _pad_chwn(a, pad):
         return chwn
     ap = np.zeros((c, h + 2 * pad, wd + 2 * pad, n), dtype=a.dtype)
     inner = ap[:, pad : pad + h, pad : pad + wd]
-    if n < wd and not batch_innermost:
+    if 2 * n < wd and not batch_innermost:
         for i in range(n):
             inner[..., i] = a[i]
     else:

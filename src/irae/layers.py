@@ -22,8 +22,9 @@ from .autodiff import (
     narrow_channels,
     no_grad,
     sigmoid,
-    _result,
     _accum,
+    _check_dtypes,
+    _result,
 )
 
 __all__ = [
@@ -147,17 +148,35 @@ class ActNorm:
         self.bias.data[...] = (-mean / std).astype(self.bias.dtype)
         self.initialized = True
 
-    def forward(self, x):
+    def _views(self):
+        """[1,C,1,1] views of scale and bias, shared by forward and inverse."""
         if not self.initialized:
             raise RuntimeError("ActNorm used before initialization")
-        return add(mul(x, self.scale), self.bias)
+        return self.scale.data.reshape(1, -1, 1, 1), self.bias.data.reshape(1, -1, 1, 1)
+
+    def forward(self, x):
+        """y = s*x + b on an [N,C,H,W] tensor: one tape record over (x, scale, bias)."""
+        s, b = self._views()
+        scale, bias = self.scale, self.bias
+        if x.ndim != 4 or x.shape[1] != self.channels:
+            raise ValueError(f"actnorm: incompatible shapes {x.shape} and {scale.shape}")
+        _check_dtypes(x, scale, "actnorm")
+
+        def bwd():
+            g = out.grad
+            if x.requires_grad:
+                _accum(x, g * s)
+            if scale.requires_grad:
+                _accum(scale, (g * x.data).sum(axis=(0, 2, 3)))
+            if bias.requires_grad:
+                _accum(bias, g.sum(axis=(0, 2, 3)))
+
+        out = _result(x.data * s + b, (x, scale, bias), bwd)
+        return out
 
     def inverse(self, y):
         """Exact inverse on an [N,C,H,W] array; returns an array."""
-        if not self.initialized:
-            raise RuntimeError("ActNorm used before initialization")
-        s = self.scale.data.reshape(1, -1, 1, 1)
-        b = self.bias.data.reshape(1, -1, 1, 1)
+        s, b = self._views()
         return (y - b) / s
 
     def log_det(self, h, w):
@@ -195,8 +214,6 @@ class InvertibleConv1x1:
         self.weight = Tensor(w, requires_grad=True)
 
     def forward(self, x):
-        if x.shape[1] != self.channels:
-            raise ValueError(f"conv1x1: expected {self.channels} channels, got {x.shape[1]}")
         return channel_mix(self.weight, x)
 
     def inverse(self, y):
@@ -258,7 +275,6 @@ class AffineCoupling:
         if channels % 2 != 0:
             raise ValueError(f"coupling: channel count {channels} must be even")
         self.channels = channels
-        self.hidden = hidden
         half = channels // 2
         self.w1, self.b1 = _conv_param(hidden, half, 3, rng, dtype)
         self.w2, self.b2 = _conv_param(hidden, hidden, 3, rng, dtype)

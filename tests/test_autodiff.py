@@ -37,7 +37,7 @@ from irae.autodiff import (
     tanh,
 )
 from irae.autodiff import _grad_enabled
-from irae.layers import squeeze, unsqueeze
+from irae.layers import ActNorm, squeeze, unsqueeze
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -100,12 +100,6 @@ class TestElementwise:
                 got = sigmoid(Tensor(np.array([-1e4, 1e4], dtype=dtype))).data
         assert np.array_equal(got, [0.0, 1.0])
 
-    def test_mul_channel_broadcast(self):
-        x = Tensor(np.array([3.0, 5.0]).reshape(1, 2, 1, 1))
-        scale = Tensor([2.0, 10.0])
-        out = mul(x, scale)
-        assert np.array_equal(out.data.ravel(), [6.0, 50.0])
-
     def test_sub_and_abs(self):
         out = absolute(sub(Tensor([1.0, -4.0]), Tensor([3.0, -1.0])))
         assert np.array_equal(out.data, [2.0, 3.0])
@@ -115,8 +109,16 @@ class TestElementwise:
         assert np.array_equal(out.data, [5.0, 7.0])
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="incompatible shapes"):
-            add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
+        # no implicit broadcast: [N,C,H,W] against a per-channel [C] is refused too
+        pairs = [
+            (Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0])),
+            (Tensor(np.array([3.0, 5.0]).reshape(1, 2, 1, 1)), Tensor([2.0, 10.0])),
+            (Tensor(np.ones((2, 3, 4, 4))), Tensor(np.ones(3))),
+        ]
+        for op in (add, sub, mul):
+            for a, b in pairs:
+                with pytest.raises(ValueError, match="incompatible shapes"):
+                    op(a, b)
 
     def test_mixed_dtype_rejected(self):
         a = Tensor(np.ones(2, dtype=np.float32))
@@ -539,17 +541,6 @@ class TestGradientsAgainstFiniteDifferences:
                 d = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
                 assert_grad_matches_fd(lambda t, op=op, c=c: sum_all(op(c, t)), d)
 
-    def test_channel_broadcast_grads(self):
-        rng = np.random.default_rng(8)
-        for op in (add, sub, mul):
-            for _ in range(7):
-                x = Tensor(rng.standard_normal((2, 3, 2, 2)), requires_grad=True)
-                v = Tensor(rng.standard_normal(3), requires_grad=True)
-                assert_grad_matches_fd(lambda t, v=v, op=op: sum_all(op(t, v)), x)
-                x2 = Tensor(rng.standard_normal((2, 3, 2, 2)))
-                v2 = Tensor(rng.standard_normal(3), requires_grad=True)
-                assert_grad_matches_fd(lambda t, x2=x2, op=op: mean_all(op(x2, t)), v2)
-
     def test_conv2d_grads_all_operands(self):
         rng = np.random.default_rng(9)
         for k in (1, 3):
@@ -589,12 +580,11 @@ class TestGradientsAgainstFiniteDifferences:
         rng = np.random.default_rng(12)
         w = Tensor(rng.standard_normal((4, 2, 3, 3)))
         b = Tensor(rng.standard_normal(4))
-        scale = Tensor(rng.uniform(0.5, 1.5, 4))
+        norm = ActNorm(4, dtype=np.float64)
+        norm.initialize(tanh(conv2d_same(Tensor(rng.standard_normal((2, 2, 4, 4))), w, b)))
 
         def f(t):
-            h = tanh(conv2d_same(t, w, b))
-            h = mul(h, scale)
-            return mean_all(absolute(h))
+            return sum_all(absolute(norm.forward(tanh(conv2d_same(t, w, b)))))
 
         for _ in range(20):
             x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
@@ -652,8 +642,8 @@ def _draw_step(data, rng, shape, leaves):
     operands it needs appended to leaves: (op, output shape)."""
     n, c, h, w = shape
     names = [
-        "sigmoid", "tanh", "add", "sub", "mul", "conv2d_same", "conv2d_same_tanh", "channel_mix",
-        "narrow_concat", "reshape",
+        "sigmoid", "tanh", "add", "sub", "mul", "actnorm", "conv2d_same", "conv2d_same_tanh",
+        "channel_mix", "narrow_concat", "reshape",
     ]
     if h % 2 == 0 and w % 2 == 0:
         names.append("squeeze")
@@ -670,13 +660,14 @@ def _draw_step(data, rng, shape, leaves):
         return {"sigmoid": sigmoid, "tanh": tanh}[name], shape
     if name in ("add", "sub", "mul"):
         binary = {"add": add, "sub": sub, "mul": mul}[name]
-        kinds = ["leaf", "channel"] if name == "sub" else ["leaf", "channel", "scalar"]
+        kinds = ["leaf"] if name == "sub" else ["leaf", "scalar"]
         kind = data.draw(st.sampled_from(kinds), label="operand")
-        if kind == "scalar":
-            other = float(rng.uniform(-2.0, 2.0))
-        else:
-            other = leaf(*shape) if kind == "leaf" else leaf(c)
+        other = float(rng.uniform(-2.0, 2.0)) if kind == "scalar" else leaf(*shape)
         return (lambda x: binary(x, other)), shape
+    if name == "actnorm":
+        norm = ActNorm(c, dtype=np.float64)
+        norm.scale, norm.bias, norm.initialized = leaf(c), leaf(c), True
+        return norm.forward, shape
     if name in ("conv2d_same", "conv2d_same_tanh"):
         k = data.draw(st.sampled_from([1, 3]), label="k")
         c_out = data.draw(st.integers(1, 4), label="c_out")

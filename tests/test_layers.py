@@ -46,8 +46,8 @@ class TestLU:
         rng = np.random.default_rng(2)
         for n in (2, 4, 12):
             q = random_orthogonal(n, rng)
-            lu, _, sign = lu_factor(q)
-            assert abs(abs(lu_det(lu, sign)) - 1.0) < 1e-12
+            assert abs(abs(np.linalg.det(q)) - 1.0) < 1e-12
+            np.testing.assert_allclose(q.T @ q, np.eye(n), atol=1e-12)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
@@ -133,6 +133,19 @@ class TestActNorm:
         layer = ActNorm(2)
         with pytest.raises(RuntimeError, match="before initialization"):
             layer.forward(Tensor(np.zeros((1, 2, 2, 2))))
+
+    def test_wrong_channels_and_mixed_dtype_rejected(self):
+        layer = self._init_from(np.random.default_rng(9).standard_normal((2, 3, 4, 4)))
+        for bad in (np.zeros((2, 2, 4, 4)), np.zeros((3, 4, 4))):
+            with pytest.raises(ValueError, match="incompatible shapes"):
+                layer.forward(Tensor(bad))
+        with pytest.raises(ValueError, match="mixed dtypes"):
+            layer.forward(Tensor(np.zeros((2, 3, 4, 4), dtype=np.float32)))
+
+    def test_forward_is_one_record_over_input_scale_and_bias(self):
+        layer = self._init_from(np.random.default_rng(10).standard_normal((2, 3, 4, 4)))
+        x = Tensor(np.ones((2, 3, 4, 4)), requires_grad=True)
+        assert layer.forward(x)._parents == (x, layer.scale, layer.bias)
 
     def test_gradients(self):
         rng = np.random.default_rng(7)
