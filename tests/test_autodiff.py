@@ -108,6 +108,14 @@ class TestElementwise:
         out = add(mul(Tensor([2.0, 3.0]), 2.0), 1.0)
         assert np.array_equal(out.data, [5.0, 7.0])
 
+    def test_mul_channel_broadcast(self):
+        # a per-channel [C] scale is refused; the same scale at the input's shape multiplies
+        x = Tensor(np.array([3.0, 5.0]).reshape(1, 2, 1, 1))
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            mul(x, Tensor([2.0, 10.0]))
+        out = mul(x, Tensor(np.array([2.0, 10.0]).reshape(1, 2, 1, 1)))
+        assert np.array_equal(out.data.ravel(), [6.0, 50.0])
+
     def test_shape_mismatch_rejected(self):
         # no implicit broadcast: [N,C,H,W] against a per-channel [C] is refused too
         pairs = [
