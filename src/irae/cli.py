@@ -262,7 +262,7 @@ def _recast_model(model, precision):
     if precision == model.config.precision:
         return model
     recast = _assemble(replace(model.config, precision=precision), None)
-    recast.restore(model.snapshot())
+    recast.restore(([p.data for p in model.parameters()], model.actnorms_initialized))
     return recast
 
 

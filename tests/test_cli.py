@@ -1,6 +1,7 @@
 """CLI behavior: config round trips, subcommands, end-to-end pipeline."""
 
 import threading
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -153,6 +154,43 @@ class TestVerifyCommand:
         assert code == 0
         assert "float64" in out and "bound 1e-08" in out
 
+    @pytest.fixture(scope="class")
+    def rgb_checkpoint(self, tmp_path_factory):
+        """The shape of the verify-rgb benchmark's checkpoint (1.32M parameters)."""
+        model = build(IraeConfig(flow_steps=16, levels=2, hidden_width=29, in_channels=3, seed=1))
+        path = tmp_path_factory.mktemp("rgb") / "model.ckpt"
+        save_checkpoint(randomize_parameters(model, np.random.default_rng(1)), path)
+        return path
+
+    def test_checkpoint_peak_memory_near_file_size(self, rgb_checkpoint, capsys):
+        """The loaded parameters are held once; a batch of 32x32 trials adds
+        less than the model."""
+        size = rgb_checkpoint.stat().st_size
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--checkpoint", str(rgb_checkpoint), "--trials", "4",
+                         "--size", "32"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "PASS" in capsys.readouterr().out
+        assert peak <= 1.6 * size, f"peak {peak / size:.2f}x the file size"
+
+    def test_recast_copies_the_parameters_once(self, rgb_checkpoint):
+        """A float32 model recast to float64 allocates the float64 parameters
+        and no float32 copy of them on the way."""
+        model = load_checkpoint(rgb_checkpoint)
+        held = sum(p.data.nbytes for p in model.parameters())
+        tracemalloc.start()
+        try:
+            recast = cli._recast_model(model, "float64")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for a, b in zip(model.parameters(), recast.parameters(), strict=True):
+            assert b.data.dtype == np.float64 and np.array_equal(a.data, b.data)
+        assert recast.actnorms_initialized
+        assert peak <= 2.2 * held, f"peak {peak / held:.2f}x the float32 parameters"
 
     def test_zero_trials_refused(self, capsys):
         code = main(["verify", "--flow-steps", "1", "--levels", "1", "--hidden-width", "4", "--trials", "0"])

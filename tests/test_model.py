@@ -1,7 +1,10 @@
 """Whole-model checks: shape chain, determinism, round trips, checkpoints."""
 
 import hashlib
+import os
+import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -364,6 +367,63 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="parameter count"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "edit", [lambda b: b + b"\0", lambda b: b[:-7]], ids=["trailing-byte", "cut-short"]
+    )
+    def test_wrong_payload_length_refused_before_build(
+        self, tiny_checkpoint, tmp_path, monkeypatch, edit
+    ):
+        path, _ = tiny_checkpoint
+        corrupt = tmp_path / "corrupt.ckpt"
+        corrupt.write_bytes(edit(path.read_bytes()))
+
+        def no_build(config, rng=None):
+            pytest.fail(f"model assembled for a payload of the wrong length: {config}")
+
+        monkeypatch.setattr(model_module, "_assemble", no_build)
+        with pytest.raises(CheckpointError, match="payload"):
+            load_checkpoint(corrupt)
+
+    @pytest.mark.parametrize(
+        "extra, message", [(-7, "ended early"), (1, "after the last parameter")]
+    )
+    def test_file_changing_size_while_loading_refused(
+        self, tiny_checkpoint, tmp_path, monkeypatch, extra, message
+    ):
+        """The payload length comes from fstat; a file that then reads
+        shorter or longer than it reported is refused, not half loaded."""
+        path, _ = tiny_checkpoint
+        blob = path.read_bytes()
+        changed = tmp_path / "changed.ckpt"
+        changed.write_bytes(blob[:extra] if extra < 0 else blob + bytes(extra))
+        fstat = os.fstat
+
+        def stale_fstat(fd):
+            real = fstat(fd)
+            return SimpleNamespace(st_mode=real.st_mode, st_size=real.st_size - extra)
+
+        monkeypatch.setattr(os, "fstat", stale_fstat)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(changed)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_refused(self, tiny_checkpoint, tmp_path):
+        """A pipe cannot report its size, so the payload length is unknown."""
+        path, _ = tiny_checkpoint
+        fifo = tmp_path / "model.fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "wb") as w:
+                w.write(path.read_bytes())
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        with pytest.raises(CheckpointError, match="not a regular file"):
+            load_checkpoint(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
     @settings(max_examples=300, deadline=None)
     @given(offset=st.integers(0, TINY_CKPT_BYTES - 1), value=st.integers(0, 255))
     @example(offset=OFFSETS["precision_code"], value=7)  # unknown precision code
@@ -437,8 +497,9 @@ class TestCheckpoint:
         assert not load_checkpoint(path).actnorms_initialized
 
     def test_load_peak_memory_near_file_size(self, tmp_path):
-        """The payload is read in place: the peak is the file bytes plus the
-        parameters, about twice the file, with no copy of the payload."""
+        """Each parameter is read straight into the model's array: the peak
+        is the parameters alone, about the file size, with no copy of the
+        payload."""
         model = build(IraeConfig(flow_steps=4, levels=2, hidden_width=29, in_channels=3))
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
@@ -451,7 +512,7 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert loaded.param_count() == model.param_count()
-        assert peak <= 2.2 * size, f"peak {peak / size:.2f}x the file size"
+        assert peak <= 1.15 * size, f"peak {peak / size:.2f}x the file size"
 
     def test_build_draw_order_pinned(self, tmp_path):
         path = tmp_path / "model.ckpt"
