@@ -187,12 +187,19 @@ def cmd_train(args):
     return 0
 
 
-def _restore_batches(paths):
+def _restore_batches(model, paths):
     """Runs of consecutive same-shape images, split to images_per_batch; shapes
-    come from the file headers, so membership depends only on the file list."""
+    come from the file headers, so membership depends only on the file list.
+    Every header is read once and checked against the model before any batch."""
+    shapes = [pnm_shape(p) for p in paths]
+    for p, shape in zip(paths, shapes):
+        try:
+            model._check_input((1, *shape))
+        except ValueError as e:
+            raise ValueError(f"{p}: {e}") from None
     batches = []
-    for (_, h, w), run in groupby(paths, key=pnm_shape):
-        run = list(run)
+    for (_, h, w), run in groupby(zip(shapes, paths), key=lambda pair: pair[0]):
+        run = [p for _, p in run]
         n = images_per_batch(h, w)
         batches += [run[i : i + n] for i in range(0, len(run), n)]
     return batches
@@ -219,7 +226,7 @@ def cmd_restore(args):
     jobs = _at_least_one(args, "jobs")
     model = _load_trained(args.checkpoint)
     paths = _list_images(args.input)
-    batches = _restore_batches(paths)
+    batches = _restore_batches(model, paths)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -243,6 +250,8 @@ def cmd_eval(args):
     def score(name):
         a = load_pnm(restored_paths[name])
         b = load_pnm(reference_paths[name])
+        if a.shape != b.shape:
+            raise ValueError(f"{name}: restored shape {a.shape}, reference shape {b.shape}")
         return name, psnr(a, b), ssim(a, b)
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:

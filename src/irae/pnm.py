@@ -1,5 +1,9 @@
 """Binary PGM (P5) and PPM (P6) reading and writing, 8-bit, dependency-free.
 
+The header is the magic, then width, height and maxval: each is ASCII
+decimal digits (at most 9 after any leading zeros) ended by one whitespace
+byte, after any whitespace and '#' comments, a comment running to the end of
+its line.  The pixel data starts right after maxval's whitespace byte.
 A stored value v becomes v/maxval, so full white is 1.0 at any maxval in
 1..255, and a sample above maxval is refused.  Files are written with maxval
 255, so an image round-trips load -> save -> load bitwise.  Non-finite
@@ -8,35 +12,20 @@ pixels are refused on save.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 __all__ = ["load_pnm", "pnm_shape", "save_pnm"]
 
 _MAGIC_CHANNELS = {b"P5": 1, b"P6": 3}
-
-
-def _read_token(blob, pos):
-    """Next whitespace-delimited ASCII token, skipping '#' comment lines."""
-    n = len(blob)
-    while pos < n:
-        c = blob[pos : pos + 1]
-        if c == b"#":
-            while pos < n and blob[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not blob[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise ValueError("truncated header")
-    return blob[start:pos], pos
+# a comment must reach its line end, so it cannot stop early and hide a number
+_FIELD = rb"(?:\s|#[^\r\n]*[\r\n])*0*([0-9]{1,9})\s"
+_HEADER = re.compile(rb"P[56]" + _FIELD * 3)
 
 
 def _header(path):
-    """(file bytes, (C,H,W), maxval, offset of the pixel data)."""
+    """(file bytes, (C,H,W), maxval, offset of the pixel data past the header)."""
     with open(path, "rb") as f:
         blob = f.read()
     magic = blob[:2]
@@ -44,20 +33,15 @@ def _header(path):
         raise ValueError(
             f"{path}: not a binary PGM/PPM file (magic bytes {magic!r}, expected P5 or P6)"
         )
-    channels = _MAGIC_CHANNELS[magic]
-    pos = 2
-    try:
-        width_tok, pos = _read_token(blob, pos)
-        height_tok, pos = _read_token(blob, pos)
-        maxval_tok, pos = _read_token(blob, pos)
-        width, height, maxval = int(width_tok), int(height_tok), int(maxval_tok)
-    except ValueError as e:
-        raise ValueError(f"{path}: malformed header ({e})") from None
+    m = _HEADER.match(blob)
+    if m is None:
+        raise ValueError(f"{path}: malformed header")
+    width, height, maxval = map(int, m.groups())
     if width <= 0 or height <= 0:
         raise ValueError(f"{path}: bad dimensions {width}x{height}")
     if not 1 <= maxval <= 255:
         raise ValueError(f"{path}: maxval {maxval} unsupported (8-bit only)")
-    return blob, (channels, height, width), maxval, pos + 1  # one whitespace byte after maxval
+    return blob, (_MAGIC_CHANNELS[magic], height, width), maxval, m.end()
 
 
 def pnm_shape(path):

@@ -371,6 +371,43 @@ class TestErrorHandling:
         assert code == 1
         assert "image sets differ" in capsys.readouterr().err
 
+    def test_eval_shape_mismatch_names_image(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        write_dataset(a, smooth_patches(1, 32, np.random.default_rng(0)))
+        write_dataset(b, smooth_patches(1, 16, np.random.default_rng(1)))
+        code = main(["eval", "--restored", str(a), "--reference", str(b)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: img000.pgm: " in captured.err
+        assert "(1, 32, 32)" in captured.err and "(1, 16, 16)" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "odd_name, odd_image, message",
+        [
+            ("c.pgm", np.full((1, 30, 30), 0.5), "H and W must be divisible by 4, got 30x30"),
+            ("c.ppm", np.full((3, 32, 32), 0.5), "model expects 1 channels, got 3"),
+        ],
+        ids=["30x30", "rgb"],
+    )
+    def test_restore_refuses_bad_input_before_writing(self, tmp_path, capsys, odd_name, odd_image, message):
+        model = build(IraeConfig(flow_steps=1, levels=2, hidden_width=4))
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(randomize_parameters(model, np.random.default_rng(20)), ckpt)
+        inputs, out = tmp_path / "inputs", tmp_path / "out"
+        inputs.mkdir()
+        good = smooth_patches(2, 32, np.random.default_rng(21))
+        save_pnm(inputs / "a.pgm", good[0])
+        save_pnm(inputs / "b.pgm", good[1])
+        save_pnm(inputs / odd_name, odd_image)
+        args = ["restore", "--checkpoint", str(ckpt), "--input", str(inputs), "--output", str(out)]
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: {inputs / odd_name}: {message}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 def refuse_actnorm_init(monkeypatch):
     def no_init(self, x):

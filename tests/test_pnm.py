@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irae.pnm import load_pnm, pnm_shape, save_pnm
 
@@ -69,6 +71,84 @@ class TestLoad:
         path.write_bytes(b"P5\n1 1\n255\n" + bytes([5]) + b"unexpected")
         with pytest.raises(ValueError, match="after pixel data"):
             load_pnm(path)
+
+
+@pytest.mark.parametrize(
+    "header, shape",
+    [
+        (b"P516 16 255\n", (1, 16, 16)),
+        (b"P5#x\n16 16 255\n", (1, 16, 16)),
+        (b"P5\t16\r16\x0b255\n", (1, 16, 16)),
+        (b"P5 16 16 255\n", (1, 16, 16)),
+        (b"P5\n#" + b"c" * 5000 + b"\n16 16\n255\n", (1, 16, 16)),
+        (b"P5\n16#c\n16 255\n", None),
+        (b"P5\n1_6 16\n255\n", None),
+        (b"P5\n16 +16\n255\n", None),
+        # refused only if the comment runs to the end of its line
+        (b"P5 #16 16 255\n", None),
+    ],
+    ids=["glued-magic", "comment-after-magic", "tab-cr-vt", "one-line", "5000-byte-comment",
+         "comment-glued-to-number", "underscore", "plus-sign", "comment-hides-numbers"],
+)
+def test_header_rule(tmp_path, header, shape):
+    """Header numbers are ASCII decimal digits ended by whitespace, after any
+    whitespace and comments; each case carries 256 pixel bytes."""
+    path = tmp_path / "h.pgm"
+    path.write_bytes(header + bytes(256))
+    if shape is None:
+        with pytest.raises(ValueError, match="malformed header") as refused:
+            load_pnm(path)
+        assert str(path) in str(refused.value)
+    else:
+        assert load_pnm(path).shape == shape
+        assert pnm_shape(path) == shape
+
+
+@st.composite
+def mutated_pnm(draw):
+    """A valid P5/P6 file with one to three bytes overwritten, inserted or
+    deleted, three draws in four inside the header after the magic."""
+    channels = draw(st.sampled_from([1, 3]))
+    height, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    maxval = draw(st.sampled_from([1, 15, 255]))
+    magic = b"P5" if channels == 1 else b"P6"
+    header = magic + b"\n%d %d\n%d\n" % (width, height, maxval)
+    size = channels * height * width
+    pixels = draw(st.lists(st.integers(0, maxval), min_size=size, max_size=size))
+    blob = bytearray(header + bytes(pixels))
+    byte = st.one_of(st.sampled_from(b" \t\n\r\x0b\x0c#0123456789+-_P56"), st.integers(0, 255))
+    for _ in range(draw(st.integers(1, 3))):
+        lo, hi = (2, len(header)) if draw(st.integers(0, 3)) < 3 else (0, len(blob))
+        pos = draw(st.integers(min(lo, len(blob)), min(hi, len(blob))))
+        op = draw(st.sampled_from(["overwrite", "insert", "delete"]))
+        if op == "insert" or pos == len(blob):
+            blob.insert(pos, draw(byte))
+        elif op == "overwrite":
+            blob[pos] = draw(byte)
+        else:
+            del blob[pos]
+    return bytes(blob)
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=mutated_pnm())
+def test_mutated_file_loads_or_is_refused_naming_path(mutation_dir, blob):
+    path = mutation_dir / "mutated.pnm"
+    path.write_bytes(blob)
+    try:
+        img = load_pnm(path)
+    except ValueError as e:
+        assert str(path) in str(e)
+        return
+    assert img.dtype == np.float64 and img.ndim == 3
+    assert img.shape[0] == {b"P5": 1, b"P6": 3}[blob[:2]]
+    assert pnm_shape(path) == img.shape
+    assert 0.0 <= img.min() and img.max() <= 1.0
 
 
 class TestSaveRoundTrip:
