@@ -1,8 +1,9 @@
 """Dense NCHW tensors with tape-based reverse-mode automatic differentiation.
 
 Deliberately small: float32/float64 only, explicit shapes, and no implicit
-broadcast: add/sub/mul take two tensors of one shape, or a tensor and a
-number (ActNorm's per-channel affine is its own record).  Memory layout is not
+broadcast: add/sub/mul take two tensors of one shape, and mul also a tensor
+and a number (ActNorm's per-channel affine and the coupling's scale and
+shift are records of their own, in layers.py).  Memory layout is not
 fixed: most ops return row-major arrays, but ``conv2d_same`` returns its
 result and its input gradient as views of the batch-innermost [C,H,W,N]
 buffer its GEMM wrote, and every op accepts any layout.  ``backward``
@@ -176,9 +177,6 @@ def _pass_grad(g, av, bv):
 
 
 def add(a, b):
-    if not isinstance(b, Tensor):
-        c = float(b)
-        return _scalar_op(a, lambda d: d + a.dtype.type(c), lambda g, d, y: g)
     return _binary("add", a, b, np.add, _pass_grad, _pass_grad)
 
 

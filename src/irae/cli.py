@@ -24,7 +24,7 @@ from .metrics import psnr, ssim
 from .model import PRECISION_DTYPES, IraeConfig, build, load_checkpoint, randomize_parameters
 from .model import _assemble, images_per_batch, save_checkpoint
 from .pnm import load_pnm, pnm_shape, save_pnm
-from .train import history_lines, train
+from .train import _check_inputs, history_lines, train
 
 __all__ = ["RunConfig", "parse_config_file", "main"]
 
@@ -165,6 +165,11 @@ def cmd_train(args):
     h, w = images[0].shape[1:]
     spec = _degradation_spec(cfg, (h, w))
     model = build(_apply_overrides(IraeConfig(), cfg))
+    # refuse bad arguments before making directories, and make them before training
+    _check_inputs(images, spec, cfg.epochs_max, cfg.batch_size)
+    out_dir = Path(cfg.output_dir)
+    for d in (out_dir, Path(cfg.checkpoint).parent):
+        d.mkdir(parents=True, exist_ok=True)
     model, history = train(
         model,
         images,
@@ -175,8 +180,6 @@ def cmd_train(args):
     )
     if not history:
         raise RuntimeError("training produced no epochs (diverged immediately?)")
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, cfg.checkpoint)
     log_path = out_dir / "history.log"
     log_path.write_text("\n".join(history_lines(history)) + "\n")

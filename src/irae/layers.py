@@ -14,17 +14,14 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
-    add,
     channel_mix,
-    concat_channels,
     conv2d_same,
-    mul,
     narrow_channels,
     no_grad,
-    sigmoid,
     _accum,
     _check_dtypes,
     _result,
+    _sigmoid,
 )
 
 __all__ = [
@@ -280,39 +277,48 @@ class AffineCoupling:
         self.w2, self.b2 = _conv_param(hidden, hidden, 3, rng, dtype)
         self.w3, self.b3 = _conv_param(channels, hidden, 3, rng, dtype, zero=True)
 
+    def _halves(self, a):
+        """Views of the two channel halves of an array with the coupling's C channels."""
+        if a.shape[1] != self.channels:
+            raise ValueError(f"coupling: expected {self.channels} channels, got {a.shape[1]}")
+        return np.split(a, 2, axis=1)
+
     def _net(self, xa):
+        """The net's output on x_a, with s = sigmoid(raw + 2) and t from its halves."""
         h = conv2d_same(xa, self.w1, self.b1, tanh=True)
         h = conv2d_same(h, self.w2, self.b2, tanh=True)
         out = conv2d_same(h, self.w3, self.b3)
-        half = self.channels // 2
-        raw_s = narrow_channels(out, 0, half)
-        t = narrow_channels(out, half, self.channels)
-        return sigmoid(add(raw_s, 2.0)), t
+        raw, t = np.split(out.data, 2, axis=1)
+        return out, _sigmoid(raw + 2), t
 
     def forward(self, x):
-        if x.shape[1] != self.channels:
-            raise ValueError(f"coupling: expected {self.channels} channels, got {x.shape[1]}")
-        half = self.channels // 2
-        xa = narrow_channels(x, 0, half)
-        xb = narrow_channels(x, half, self.channels)
-        s, t = self._net(xa)
-        yb = add(mul(s, xb), t)
-        return concat_channels(xa, yb)
+        """[x_a, s*x_b + t]: one tape record over (x, net output) after the net's convs."""
+        xa, xb = self._halves(x.data)
+        out, s, t = self._net(narrow_channels(x, 0, self.channels // 2))
+
+        def bwd():
+            ga, gb = np.split(y.grad, 2, axis=1)
+            if x.requires_grad:
+                _accum(x, np.concatenate([ga, gb * s], axis=1))
+            # out (downstream of x_a) needs grad whenever this record exists
+            gout = np.empty_like(out.data)  # the conv's batch-innermost layout: no copy there
+            _accum(out, np.concatenate([gb * xb * s * (1 - s), gb], axis=1, out=gout))
+
+        y = _result(np.concatenate([xa, s * xb + t], axis=1), (x, out), bwd)
+        return y
 
     def inverse(self, y):
-        half = self.channels // 2
-        ya = y[:, :half]
-        yb = y[:, half:]
+        ya, yb = self._halves(y)
         with no_grad():
-            s, t = self._net(Tensor(ya))
-        return np.concatenate([ya, (yb - t.data) / s.data], axis=1)
+            _, s, t = self._net(Tensor(ya))
+        return np.concatenate([ya, (yb - t) / s], axis=1)
 
     def log_det(self, x):
         """Per-sample sum of log s over the transformed half; shape [N]."""
-        half = self.channels // 2
         with no_grad():
-            s, _ = self._net(Tensor(x[:, :half]))
-        return np.log(s.data.astype(np.float64)).sum(axis=(1, 2, 3))
+            _, s, _ = self._net(Tensor(self._halves(x)[0]))
+        # a row-major copy sums in one order, whatever the conv's layout
+        return np.log(s.astype(np.float64, order="C")).sum(axis=(1, 2, 3))
 
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]

@@ -218,6 +218,23 @@ def _loss_and_grads(model, y, x, shard, replicas, pool):
     return loss_val, [reduce(np.add, gs) for gs in zip(*(grads for _, grads in parts))]
 
 
+def _check_inputs(images, spec, epochs_max, batch_size):
+    """What train() refuses before it draws anything; returns the images as float64."""
+    if len(images) == 0:
+        raise ValueError("train: dataset is empty")
+    if len(images) == 1:  # the validation split takes at least one image
+        raise ValueError("train: dataset too small to split")
+    for name, value in (("batch_size", batch_size), ("epochs_max", epochs_max)):
+        if value < 1:
+            raise ValueError(f"train: {name} must be at least 1, got {value}")
+    images = [np.asarray(x, dtype=np.float64) for x in images]
+    for i, x in enumerate(images):
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"train: image {i} contains non-finite values")
+    replace(spec, image_size=images[0].shape[-2:]).validate()
+    return images
+
+
 def train(model, images, spec, epochs_max, batch_size=16, seed=0):
     """Minimize the L1 restoration loss; returns (model, history).
 
@@ -244,22 +261,11 @@ def train(model, images, spec, epochs_max, batch_size=16, seed=0):
     train() gives the same result inside no_grad.  No thread outlives the
     call.
     """
-    if len(images) == 0:
-        raise ValueError("train: dataset is empty")
-    for name, value in (("batch_size", batch_size), ("epochs_max", epochs_max)):
-        if value < 1:
-            raise ValueError(f"train: {name} must be at least 1, got {value}")
-    images = [np.asarray(x, dtype=np.float64) for x in images]
-    for i, x in enumerate(images):
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"train: image {i} contains non-finite values")
-    replace(spec, image_size=images[0].shape[-2:]).validate()
+    images = _check_inputs(images, spec, epochs_max, batch_size)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(images))
     n_val = max(1, len(images) // 10)
     train_images = [images[i] for i in order[n_val:]]
-    if len(train_images) == 0:
-        raise ValueError("train: dataset too small to split")
     val_xs = [images[i] for i in order[:n_val]]
     val_ys = [degrade(x, spec, rng) for x in val_xs]
 

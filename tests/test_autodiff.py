@@ -105,7 +105,8 @@ class TestElementwise:
         assert np.array_equal(out.data, [2.0, 3.0])
 
     def test_scalar_operand(self):
-        out = add(mul(Tensor([2.0, 3.0]), 2.0), 1.0)
+        # only mul takes a number; add and sub take two tensors
+        out = add(mul(Tensor([2.0, 3.0]), 2.0), Tensor([1.0, 1.0]))
         assert np.array_equal(out.data, [5.0, 7.0])
 
     def test_mul_channel_broadcast(self):
@@ -668,7 +669,7 @@ def _draw_step(data, rng, shape, leaves):
         return {"sigmoid": sigmoid, "tanh": tanh}[name], shape
     if name in ("add", "sub", "mul"):
         binary = {"add": add, "sub": sub, "mul": mul}[name]
-        kinds = ["leaf"] if name == "sub" else ["leaf", "scalar"]
+        kinds = ["leaf", "scalar"] if name == "mul" else ["leaf"]
         kind = data.draw(st.sampled_from(kinds), label="operand")
         other = float(rng.uniform(-2.0, 2.0)) if kind == "scalar" else leaf(*shape)
         return (lambda x: binary(x, other)), shape

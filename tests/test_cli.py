@@ -363,6 +363,26 @@ class TestErrorHandling:
         assert not ckpt.exists()
         assert not (tmp_path / "out").exists()
 
+    def test_train_makes_its_directories_before_training(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "data"
+        write_dataset(data, smooth_patches(4, 8, np.random.default_rng(17)))
+        ckpt, out = tmp_path / "missing" / "dir" / "m.ckpt", tmp_path / "runs"
+        real_train = cli.train
+
+        def train_in_existing_dirs(*args, **kwargs):
+            assert ckpt.parent.is_dir() and out.is_dir()
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", train_in_existing_dirs)
+        code = main(
+            ["train", "--dataset-dir", str(data), "--flow-steps", "1", "--levels", "1",
+             "--hidden-width", "4", "--epochs-max", "1", "--checkpoint", str(ckpt),
+             "--output-dir", str(out)]
+        )
+        assert code == 0, capsys.readouterr().err
+        assert load_checkpoint(str(ckpt)).actnorms_initialized
+        assert (out / "history.log").read_text().count("\n") == 1
+
     def test_eval_set_mismatch(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         write_dataset(a, smooth_patches(2, 16, np.random.default_rng(0)))

@@ -7,7 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irae.autodiff import Tensor, backward, finite_diff_grad, no_grad, sum_all, tanh
+from irae.autodiff import (
+    Tensor,
+    add,
+    backward,
+    concat_channels,
+    conv2d_same,
+    finite_diff_grad,
+    mul,
+    narrow_channels,
+    no_grad,
+    sigmoid,
+    sum_all,
+    tanh,
+)
 from irae.layers import (
     ActNorm,
     AffineCoupling,
@@ -322,6 +335,20 @@ class TestInvertibleConv1x1:
             leaf.grad = None
 
 
+def coupling_by_generic_ops(layer, x):
+    """AffineCoupling.forward composed from generic tape ops: [x_a, s*x_b + t]
+    with s = sigmoid(raw + 2), where raw and t are the halves of the net's output."""
+    half, c = layer.channels // 2, layer.channels
+    xa = narrow_channels(x, 0, half)
+    h = conv2d_same(xa, layer.w1, layer.b1, tanh=True)
+    h = conv2d_same(h, layer.w2, layer.b2, tanh=True)
+    out = conv2d_same(h, layer.w3, layer.b3)
+    raw = narrow_channels(out, 0, half)
+    s = sigmoid(add(raw, Tensor(np.full(raw.shape, 2.0, dtype=raw.dtype))))
+    yb = add(mul(s, narrow_channels(x, half, c)), narrow_channels(out, half, c))
+    return concat_channels(xa, yb)
+
+
 class TestAffineCoupling:
     def test_zero_init_scales_by_sigmoid_of_two(self):
         layer = AffineCoupling(4, 8, rng=np.random.default_rng(15), dtype=np.float64)
@@ -341,8 +368,8 @@ class TestAffineCoupling:
         x[:, 2:] = 0.0
         y = layer.forward(Tensor(x)).data
         with no_grad():
-            _, t = layer._net(Tensor(x[:, :2]))
-        np.testing.assert_array_equal(y[:, 2:], t.data)
+            _, _, t = layer._net(Tensor(x[:, :2]))
+        np.testing.assert_array_equal(y[:, 2:], t)
 
     def test_active_half_unchanged_bitwise(self):
         rng = np.random.default_rng(18)
@@ -367,6 +394,49 @@ class TestAffineCoupling:
     def test_odd_channels_rejected(self):
         with pytest.raises(ValueError, match="even"):
             AffineCoupling(3, 4, rng=np.random.default_rng(20))
+
+    def test_every_method_checks_the_channel_count(self):
+        layer = AffineCoupling(2, 3, rng=np.random.default_rng(22))
+        y = np.ones((1, 3, 4, 4), dtype=np.float32)
+        for method in (lambda: layer.forward(Tensor(y)), lambda: layer.inverse(y),
+                       lambda: layer.log_det(y)):
+            with pytest.raises(ValueError, match="coupling: expected 2 channels, got 3"):
+                method()
+
+    def test_forward_is_five_records(self):
+        # the narrow to x_a, the net's three convs, and one record over (x, net output)
+        layer = AffineCoupling(4, 3, rng=np.random.default_rng(23))
+        x = Tensor(np.ones((1, 4, 4, 4), dtype=np.float32), requires_grad=True)
+        y = layer.forward(x)
+        records, stack = {}, [y]
+        while stack:
+            t = stack.pop()
+            if t._backward is not None and id(t) not in records:
+                records[id(t)] = t
+                stack.extend(t._parents)
+        assert len(records) == 5
+        assert len(y._parents) == 2 and y._parents[0] is x
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels, hidden", [(6, 5), (8, 3)])
+    def test_bitwise_equal_to_generic_ops(self, dtype, channels, hidden):
+        rng = np.random.default_rng(24)
+        layer = AffineCoupling(channels, hidden, rng=rng, dtype=dtype)
+        for p in layer.parameters():
+            p.data[...] = 0.3 * rng.standard_normal(p.shape)
+        x = Tensor(rng.standard_normal((2, channels, 8, 8)).astype(dtype), requires_grad=True)
+        projection = Tensor(rng.standard_normal(x.shape).astype(dtype))
+        leaves = [x] + layer.parameters()
+        results = []
+        for forward in (layer.forward, lambda t: coupling_by_generic_ops(layer, t)):
+            y = forward(x)
+            backward(sum_all(mul(y, projection)))
+            results.append([y.data] + [leaf.grad for leaf in leaves])
+            for leaf in leaves:
+                leaf.grad = None
+        for got, want in zip(*results):
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
 
     def test_gradients_through_all_parameters(self):
         rng = np.random.default_rng(21)
