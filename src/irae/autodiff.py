@@ -2,11 +2,12 @@
 
 Deliberately small: float32/float64 only, explicit shapes, and no implicit
 broadcast: add/sub/mul take two tensors of one shape, and mul also a tensor
-and a number (ActNorm's per-channel affine and the coupling's scale and
-shift are records of their own, in layers.py).  Memory layout is not
-fixed: most ops return row-major arrays, but ``conv2d_same`` returns its
-result and its input gradient as views of the batch-innermost [C,H,W,N]
-buffer its GEMM wrote, and every op accepts any layout.  ``backward``
+and a number (the three flow layers, ActNorm, the 1x1 convolution and
+the coupling, are records of their own, in layers.py).  Memory layout is
+not fixed: most ops return row-major arrays, but ``conv2d_same`` returns
+its result and its input gradient as views of the batch-innermost
+[C,H,W,N] buffer its GEMM wrote, ``narrow_channels`` returns a view of its
+input, and every op accepts any layout.  ``backward``
 frees the tape record by record; there are no higher-order derivatives.
 A graph and the tensors it connects belong to a single thread; tensors with
 ``requires_grad=False`` may be shared read-only.  Threads may share a
@@ -38,7 +39,6 @@ __all__ = [
     "channel_mean",
     "channel_std",
     "conv2d_same",
-    "channel_mix",
     "reshape",
     "narrow_channels",
     "concat_channels",
@@ -114,6 +114,10 @@ class Tensor:
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{flag})"
+
+    def __array__(self, dtype=None, copy=None):
+        # without this, numpy wraps a Tensor in a 0-d object array
+        raise TypeError("a Tensor is not a numpy array; use its .data")
 
 
 def _result(data, parents, backward_fn):
@@ -298,30 +302,6 @@ def channel_std(x):
     return out
 
 
-def channel_mix(w, x):
-    """Per-pixel channel mix y[n,:,i,j] = w @ x[n,:,i,j]: w [Co,Ci], x [N,Ci,H,W].
-
-    One matmul over the [N, Ci, H*W] view of x, with no padding or copy of
-    x; the weight gradient is one GEMM over the batch and pixels.
-    """
-    _check_nchw(x, "channel_mix")
-    if w.ndim != 2 or w.shape[1] != x.shape[1]:
-        raise ValueError(f"channel_mix: weight {w.shape} does not fit input {x.shape}")
-    _check_dtypes(x, w, "channel_mix")
-    n, c_in, h, wd = x.shape
-    xf = x.data.reshape(n, c_in, h * wd)
-
-    def bwd():
-        g = out.grad.reshape(n, -1, h * wd)
-        if x.requires_grad:
-            _accum(x, np.matmul(w.data.T, g).reshape(x.shape))
-        if w.requires_grad:
-            _accum(w, np.tensordot(g, xf, axes=((0, 2), (0, 2))))
-
-    out = _result(np.matmul(w.data, xf).reshape(n, -1, h, wd), (x, w), bwd)
-    return out
-
-
 def _pad_chwn(a, pad):
     """[N,C,H,W] -> zero-padded [C,H+2p,W+2p,N], batch innermost, C-contiguous.
 
@@ -479,7 +459,7 @@ def reshape(x, shape):
 
 
 def narrow_channels(x, start, stop):
-    """Contiguous channel slice [:, start:stop] of an [N,C,H,W] tensor."""
+    """Channel slice [:, start:stop] of an [N,C,H,W] tensor, as a view of x."""
     _check_nchw(x, "narrow_channels")
     if not (0 <= start < stop <= x.shape[1]):
         raise ValueError(f"narrow_channels: bad range [{start}:{stop}] for C={x.shape[1]}")
@@ -489,7 +469,7 @@ def narrow_channels(x, start, stop):
         g[:, start:stop] = out.grad
         _accum(x, g)
 
-    out = _result(np.ascontiguousarray(x.data[:, start:stop]), (x,), bwd)
+    out = _result(x.data[:, start:stop], (x,), bwd)
     return out
 
 

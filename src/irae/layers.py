@@ -14,7 +14,6 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
-    channel_mix,
     conv2d_same,
     narrow_channels,
     no_grad,
@@ -145,18 +144,18 @@ class ActNorm:
         self.bias.data[...] = (-mean / std).astype(self.bias.dtype)
         self.initialized = True
 
-    def _views(self):
-        """[1,C,1,1] views of scale and bias, shared by forward and inverse."""
+    def _views(self, a):
+        """[1,C,1,1] views of scale and bias for a checked input; shared by forward and inverse."""
         if not self.initialized:
             raise RuntimeError("ActNorm used before initialization")
+        if a.ndim != 4 or a.shape[1] != self.channels:
+            raise ValueError(f"actnorm: incompatible shapes {a.shape} and {self.scale.shape}")
         return self.scale.data.reshape(1, -1, 1, 1), self.bias.data.reshape(1, -1, 1, 1)
 
     def forward(self, x):
         """y = s*x + b on an [N,C,H,W] tensor: one tape record over (x, scale, bias)."""
-        s, b = self._views()
+        s, b = self._views(x)
         scale, bias = self.scale, self.bias
-        if x.ndim != 4 or x.shape[1] != self.channels:
-            raise ValueError(f"actnorm: incompatible shapes {x.shape} and {scale.shape}")
         _check_dtypes(x, scale, "actnorm")
 
         def bwd():
@@ -173,7 +172,7 @@ class ActNorm:
 
     def inverse(self, y):
         """Exact inverse on an [N,C,H,W] array; returns an array."""
-        s, b = self._views()
+        s, b = self._views(y)
         return (y - b) / s
 
     def log_det(self, h, w):
@@ -210,10 +209,30 @@ class InvertibleConv1x1:
             w = random_orthogonal(channels, rng, dtype=dtype)
         self.weight = Tensor(w, requires_grad=True)
 
+    def _pixels(self, a):
+        """[N,C,H*W] view of an array with the layer's C channels; shared by forward and inverse."""
+        if a.ndim != 4 or a.shape[1] != self.channels:
+            raise ValueError(f"conv1x1: expected [N,{self.channels},H,W], got shape {a.shape}")
+        n, c, h, w = a.shape
+        return a.reshape(n, c, h * w)
+
     def forward(self, x):
-        return channel_mix(self.weight, x)
+        """W @ x per pixel, one matmul over x's [N,C,H*W] view: one tape record over (x, W)."""
+        xf, weight = self._pixels(x.data), self.weight
+        _check_dtypes(x, weight, "conv1x1")
+
+        def bwd():
+            g = y.grad.reshape(xf.shape)
+            if x.requires_grad:
+                _accum(x, np.matmul(weight.data.T, g).reshape(x.shape))
+            if weight.requires_grad:
+                _accum(weight, np.tensordot(g, xf, axes=((0, 2), (0, 2))))
+
+        y = _result(np.matmul(weight.data, xf).reshape(x.shape), (x, weight), bwd)
+        return y
 
     def inverse(self, y):
+        yf = self._pixels(y)
         w = self.weight.data.astype(np.float64)
         if not np.isfinite(w).all():
             raise SingularWeightError(
@@ -229,9 +248,7 @@ class InvertibleConv1x1:
                 f"1x1 convolution weight singular: 1-norm condition number above "
                 f"{_COND_LIMIT:g}, cannot invert"
             )
-        n, c, h, wd = y.shape
-        w_inv = w_inv.astype(self.weight.dtype)
-        return np.matmul(w_inv, y.reshape(n, c, h * wd)).reshape(n, c, h, wd)
+        return np.matmul(w_inv.astype(self.weight.dtype), yf).reshape(y.shape)
 
     def log_det(self, h, w):
         """h*w * log|det W| from float64 LAPACK slogdet: -inf for a singular

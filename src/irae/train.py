@@ -231,6 +231,8 @@ def _check_inputs(images, spec, epochs_max, batch_size):
     for i, x in enumerate(images):
         if not np.all(np.isfinite(x)):
             raise ValueError(f"train: image {i} contains non-finite values")
+        if x.shape != images[0].shape:
+            raise ValueError(f"train: image {i} has shape {x.shape}, image 0 {images[0].shape}")
     replace(spec, image_size=images[0].shape[-2:]).validate()
     return images
 
@@ -238,15 +240,16 @@ def _check_inputs(images, spec, epochs_max, batch_size):
 def train(model, images, spec, epochs_max, batch_size=16, seed=0):
     """Minimize the L1 restoration loss; returns (model, history).
 
-    images: list of (C,H,W) arrays in [0,1]; a non-finite pixel, or a
-    batch_size or epochs_max below 1, is refused before any corruption is
-    drawn.  A 10% validation split (at least one
-    image) is held out, fixed by the seed, with its corruptions drawn once
-    so per-epoch PSNR is comparable.  Training corruptions are redrawn every
-    epoch for the stochastic kinds.  The model is left at the
-    best-validation-PSNR parameters.  A non-finite loss, gradient or
-    validation PSNR stops training early: that epoch is not recorded, and
-    the model goes back to the best finite epoch, if there is one.
+    images: list of (C,H,W) arrays of one shape, in [0,1]; a non-finite
+    pixel, an image of another shape, or a batch_size or epochs_max below
+    1, is refused before any corruption is drawn.  A 10% validation split
+    (at least one image) is held out, fixed by the seed, with its
+    corruptions drawn once so per-epoch PSNR is comparable.  Training
+    corruptions are redrawn every epoch for the stochastic kinds.  The
+    model is left at the best-validation-PSNR parameters.  A non-finite
+    loss, gradient or validation PSNR stops training early: that epoch is
+    not recorded, and the model goes back to the best finite epoch, if
+    there is one.
 
     Each batch runs as shards of images_per_batch(H, W) images
     (BATCH_PIXELS per channel), the last one possibly smaller; the first

@@ -19,7 +19,6 @@ from irae.autodiff import (
     add,
     backward,
     channel_mean,
-    channel_mix,
     channel_std,
     concat_channels,
     conv2d_same,
@@ -37,7 +36,7 @@ from irae.autodiff import (
     tanh,
 )
 from irae.autodiff import _grad_enabled
-from irae.layers import ActNorm, squeeze, unsqueeze
+from irae.layers import ActNorm, InvertibleConv1x1, squeeze, unsqueeze
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -145,19 +144,6 @@ class TestElementwise:
             x = Tensor(rng.standard_normal((2, 3, 4, 4)))
             for op in (sigmoid, tanh, exp, absolute):
                 assert np.all(np.isfinite(op(x).data))
-
-
-class TestChannelMix:
-    def test_matches_per_pixel_matrix_product(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, 3, 4, 5))
-        w = rng.standard_normal((6, 3))
-        want = np.einsum("oc,nchw->nohw", w, x)
-        np.testing.assert_allclose(channel_mix(Tensor(w), Tensor(x)).data, want, rtol=1e-12)
-
-    def test_weight_must_fit_input_channels(self):
-        with pytest.raises(ValueError, match="does not fit"):
-            channel_mix(Tensor(np.eye(2)), Tensor(np.zeros((1, 3, 2, 2))))
 
 
 class TestConv2d:
@@ -364,6 +350,14 @@ def test_narrow_channels_gradient_on_a_conv_result(n):
         grads.append(leaf.grad)
     assert grads[0].tobytes() == grads[1].tobytes()
     assert grads[0].transpose(1, 2, 3, 0).flags.c_contiguous
+
+
+def test_narrow_channels_is_a_view_of_its_input():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((2, 4, 3, 3)), requires_grad=True)
+    assert np.shares_memory(narrow_channels(x, 1, 3).data, x.data)
+    r = Tensor(rng.standard_normal((2, 2, 3, 3)))
+    assert_grad_matches_fd(lambda t: sum_all(mul(narrow_channels(t, 1, 3), r)), x)
 
 
 def test_conv2d_float32_at_desk_shape_matches_float64():
@@ -645,6 +639,11 @@ class TestProperties:
         backward(sum_all(t))
         assert t.grad.shape == t.shape
 
+    def test_numpy_refuses_a_tensor_and_points_to_its_data(self):
+        for convert in (np.asarray, np.ascontiguousarray):
+            with pytest.raises(TypeError, match=r"use its \.data"):
+                convert(Tensor(np.zeros((2, 3))))
+
 
 def _draw_step(data, rng, shape, leaves):
     """One tape op that accepts an [N,C,H,W] input of this shape, with any
@@ -652,7 +651,7 @@ def _draw_step(data, rng, shape, leaves):
     n, c, h, w = shape
     names = [
         "sigmoid", "tanh", "add", "sub", "mul", "actnorm", "conv2d_same", "conv2d_same_tanh",
-        "channel_mix", "narrow_concat", "reshape",
+        "conv1x1", "narrow_concat", "reshape",
     ]
     if h % 2 == 0 and w % 2 == 0:
         names.append("squeeze")
@@ -683,10 +682,10 @@ def _draw_step(data, rng, shape, leaves):
         weight, bias = leaf(c_out, c, k, k), leaf(c_out)
         fused = name == "conv2d_same_tanh"
         return (lambda x: conv2d_same(x, weight, bias, tanh=fused)), (n, c_out, h, w)
-    if name == "channel_mix":
-        c_out = data.draw(st.integers(1, 4), label="c_out")
-        weight = leaf(c_out, c)
-        return (lambda x: channel_mix(weight, x)), (n, c_out, h, w)
+    if name == "conv1x1":
+        conv = InvertibleConv1x1(c, rng=None, dtype=np.float64)
+        conv.weight = leaf(c, c)
+        return conv.forward, shape
     if name == "narrow_concat":
         start = data.draw(st.integers(0, c - 1), label="start")
         stop = data.draw(st.integers(start + 1, c), label="stop")

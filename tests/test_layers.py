@@ -155,6 +155,15 @@ class TestActNorm:
         with pytest.raises(ValueError, match="mixed dtypes"):
             layer.forward(Tensor(np.zeros((2, 3, 4, 4), dtype=np.float32)))
 
+    def test_inverse_refuses_wrong_channel_count_as_forward_does(self):
+        layer = self._init_from(np.random.default_rng(11).standard_normal((2, 4, 2, 2)))
+        y = np.zeros((1, 1, 2, 2))
+        with pytest.raises(ValueError, match="actnorm: incompatible shapes") as forward:
+            layer.forward(Tensor(y))
+        with pytest.raises(ValueError) as inverse:
+            layer.inverse(y)
+        assert str(inverse.value) == str(forward.value)
+
     def test_forward_is_one_record_over_input_scale_and_bias(self):
         layer = self._init_from(np.random.default_rng(10).standard_normal((2, 3, 4, 4)))
         x = Tensor(np.ones((2, 3, 4, 4)), requires_grad=True)
@@ -200,7 +209,41 @@ def conv1x1_cases(draw):
     return conv1x1_with(weight, dtype), rng.standard_normal((n, c, h, wd)).astype(dtype)
 
 
+def tape_records(y):
+    """The tape records reachable from y, by id."""
+    records, stack = {}, [y]
+    while stack:
+        t = stack.pop()
+        if t._backward is not None and id(t) not in records:
+            records[id(t)] = t
+            stack.extend(t._parents)
+    return records
+
+
 class TestInvertibleConv1x1:
+    def test_matches_per_pixel_matrix_product(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, 3, 4, 5))
+        w = rng.standard_normal((3, 3))
+        want = np.einsum("oc,nchw->nohw", w, x)
+        np.testing.assert_allclose(conv1x1_with(w).forward(Tensor(x)).data, want, rtol=1e-12)
+
+    def test_wrong_channel_count_refused(self):
+        # forward and inverse share one check, and so one message
+        layer, y = conv1x1_with(np.eye(2)), np.zeros((1, 3, 2, 2))
+        expected = r"conv1x1: expected \[N,2,H,W\], got shape \(1, 3, 2, 2\)"
+        with pytest.raises(ValueError, match=expected) as forward:
+            layer.forward(Tensor(y))
+        with pytest.raises(ValueError) as inverse:
+            layer.inverse(y)
+        assert str(inverse.value) == str(forward.value)
+
+    def test_forward_is_one_record_over_input_and_weight(self):
+        layer = conv1x1_with(np.eye(3))
+        x = Tensor(np.ones((2, 3, 2, 2)), requires_grad=True)
+        y = layer.forward(x)
+        assert len(tape_records(y)) == 1 and y._parents == (x, layer.weight)
+
     def test_identity_weight(self):
         layer = InvertibleConv1x1(3, rng=np.random.default_rng(8), dtype=np.float64)
         layer.weight.data[...] = np.eye(3)
@@ -408,13 +451,7 @@ class TestAffineCoupling:
         layer = AffineCoupling(4, 3, rng=np.random.default_rng(23))
         x = Tensor(np.ones((1, 4, 4, 4), dtype=np.float32), requires_grad=True)
         y = layer.forward(x)
-        records, stack = {}, [y]
-        while stack:
-            t = stack.pop()
-            if t._backward is not None and id(t) not in records:
-                records[id(t)] = t
-                stack.extend(t._parents)
-        assert len(records) == 5
+        assert len(tape_records(y)) == 5
         assert len(y._parents) == 2 and y._parents[0] is x
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -288,6 +288,19 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="image 7 contains non-finite values"):
             train(model, images, DegradationSpec(kind="awgn"), epochs_max=1, batch_size=8)
 
+    def test_image_of_another_shape_refused_before_any_degradation(self, monkeypatch):
+        images = smooth_patches(19, 16, np.random.default_rng(26))
+        images += smooth_patches(1, 32, np.random.default_rng(27))
+
+        def degrade(*args):
+            raise AssertionError("a degradation was drawn before the images were checked")
+
+        monkeypatch.setattr(train_module, "degrade", degrade)
+        model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4, seed=27))
+        with pytest.raises(ValueError, match=r"image 19 has shape \(1, 32, 32\)"):
+            train(model, images, DegradationSpec(kind="awgn"), epochs_max=1, batch_size=8)
+        assert not model.actnorms_initialized
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
