@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+_BLOCK_BYTES, _BLOCK_MACS = 2**19, 2**20  # see _correlate
 
 
 class _GradMode(threading.local):
@@ -328,44 +329,81 @@ def _pad_chwn(a, pad):
 
 
 def _im2col(ap, k):
-    """C-contiguous padded [C,Hp,Wp,N] -> window matrix [C*k*k, H*W*N], in one copy.
+    """C-contiguous padded [C,Hp,Wp,N] -> window view [C,k,k,H,W*N], no copy.
 
-    Rows run in (c, dy, dx) order and columns in (h, w, n) order.  Each
-    window row is a strided view whose (w, n) axes fold into one contiguous
-    run of W*N elements.  Its strides come from the shape, not from
-    ``ap.strides``: a C-contiguous view may carry any stride on a length-1
-    axis.  The view is a plain ``np.ndarray``: sliding_window_view's
-    ``__array_interface__`` dict churns CPython's interned-string table,
-    whose 0.9 MiB rebuilds then land at random in a training step's memory
-    peak.
+    Reshaped to [C*k*k, H*W*N], a copy, it is the window matrix: rows in
+    (c, dy, dx) order, columns in (h, w, n) order.  Its strides come from
+    the shape, not from ``ap.strides``: a C-contiguous view may carry any
+    stride on a length-1 axis.  It is a plain ``np.ndarray``:
+    sliding_window_view's ``__array_interface__`` dict churns CPython's
+    interned-string table, whose 0.9 MiB rebuilds then land at random in a
+    training step's memory peak.
     """
     c, hp, wp, n = ap.shape
     h, wd = hp - k + 1, wp - k + 1
     s_w = n * ap.itemsize
     s_h = wp * s_w
     strides = (hp * s_h, s_h, s_w, s_h, ap.itemsize)
-    win = np.ndarray((c, k, k, h, wd * n), ap.dtype, ap, 0, strides)
-    return win.reshape(c * k * k, -1)
+    return np.ndarray((c, k, k, h, wd * n), ap.dtype, ap, 0, strides)
+
+
+class _Scratch(threading.local):
+    """Per thread: the buffer _correlate copies window blocks and tap planes into,
+    kept between no-grad calls.  Freed after each call, blocks of a few hundred KiB
+    keep glibc's heap-trim threshold low, and inference faults the heap top in again
+    at every flow step.  In grad mode the buffer goes: it would add to the tape's peak."""
+
+    buf = np.empty(0, np.uint8)
+
+    def take(self, size, dtype):
+        if _grad_enabled:
+            self.buf = _Scratch.buf
+            return np.empty(size, dtype)
+        nbytes = size * np.dtype(dtype).itemsize
+        if self.buf.nbytes < nbytes:
+            self.buf = None  # freed before its successor is allocated
+            self.buf = np.empty(nbytes, np.uint8)
+        return self.buf[:nbytes].view(dtype)
+
+
+_scratch = _Scratch()
 
 
 def _correlate(ap, wt):
     """Padded [Ci,Hp,Wp,N] correlated with wt [Co,Ci,k,k] -> [Co,H,W,N].
 
-    One GEMM with the pixels and batch in its columns.  The k*k window copy
-    is made on the narrower side: im2col of the input when Ci <= Co,
-    otherwise k*k shifted adds of the Co-plane products of each tap with the
-    input, each add over runs of W*N elements.
+    GEMMs with pixels and batch in their columns over the narrower side's
+    window copy, one block of it at a time in the thread's ``_Scratch`` (MEC,
+    Cho & Brand 2017): im2col blocks of output rows of about _BLOCK_BYTES
+    when Ci <= Co, else one kernel row's k*Co tap planes, then its k shifted
+    adds over W*N runs.  Split GEMMs do _BLOCK_MACS multiply-adds or more,
+    where OpenBLAS gives each float32 element the bits of one whole GEMM
+    (float64: within ulps).
     """
     c_out, c_in, k, _ = wt.shape
     _, hp, wp, n = ap.shape
     h, wd = hp - k + 1, wp - k + 1
     if c_in <= c_out:
-        return (wt.reshape(c_out, -1) @ _im2col(ap, k)).reshape(c_out, h, wd, n)
-    taps = wt.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in) @ ap.reshape(c_in, -1)
-    taps = taps.reshape(k, k, c_out, hp, wp * n)
-    acc = np.zeros((c_out, h, wd * n), dtype=taps.dtype)
-    for dy, dx in np.ndindex(k, k):
-        acc += taps[dy, dx, :, dy : dy + h, dx * n : (dx + wd) * n]
+        win, wmat, row = _im2col(ap, k), wt.reshape(c_out, -1), c_in * k * k * wd * n
+        blocks = max(1, min(-(-h // max(1, _BLOCK_BYTES // (row * ap.itemsize))),
+                            h // -(-_BLOCK_MACS // (c_out * row))))  # row: its window elements
+        acc = np.empty((c_out, h * wd * n), dtype=ap.dtype)
+        flat = _scratch.take(row * -(-h // blocks), ap.dtype)  # room for the largest block
+        for i in range(blocks):
+            r0, r1 = i * h // blocks, (i + 1) * h // blocks
+            cols = flat[: row * (r1 - r0)].reshape(win[:, :, :, r0:r1].shape)
+            cols[...] = win[:, :, :, r0:r1]
+            np.matmul(wmat, cols.reshape(wmat.shape[1], -1), out=acc[:, r0 * wd * n : r1 * wd * n])
+        return acc.reshape(c_out, h, wd, n)
+    acc = np.zeros((c_out, h, wd * n), dtype=ap.dtype)
+    g = 1 if k * c_out * c_in * h * wp * n >= _BLOCK_MACS else k  # kernel rows per GEMM
+    taps = _scratch.take(g * k * c_out * (h + g - 1) * wp * n, ap.dtype)
+    taps = taps.reshape(g, k, c_out, h + g - 1, wp * n)
+    for j, w_rows in enumerate(wt.transpose(2, 3, 0, 1).reshape(k // g, -1, c_in)):
+        rows = ap[:, j * g : j * g + h + g - 1].reshape(c_in, -1)  # a view: ap is C-contiguous
+        np.matmul(w_rows, rows, out=taps.reshape(len(w_rows), -1))
+        for dy, dx in np.ndindex(g, k):
+            acc += taps[dy, dx, :, dy : dy + h, dx * n : (dx + wd) * n]
     return acc.reshape(c_out, h, wd, n)
 
 
@@ -375,22 +413,22 @@ def conv2d_same(x, w, b=None, tanh=False):
     x: [N,Cin,H,W], w: [Cout,Cin,k,k], optional b: [Cout].  Output spatial
     size equals the input's.  With ``tanh`` the result is tanh(conv) in one
     tape record, bitwise equal to ``tanh(conv2d_same(...))`` but with no
-    pre-tanh output on the tape.  Forward, input gradient and weight gradient
-    are one GEMM each over a batch-innermost layout: operands are padded into
-    [C, H+2p, W+2p, N] buffers (see ``_pad_chwn``), so each window copy runs
-    over W*N contiguous elements, and GEMM columns are pixels in (h, w, n)
-    order (see ``_correlate``).  The result and the input gradient stay in
-    the [C, H, W, N] memory the GEMM wrote, as [N, C, H, W]-shaped views, so
-    a conv that feeds another conv costs no layout copy in either pass.  The
-    input gradient correlates the output gradient with the kernel flipped in
-    space and its channel axes swapped, and the weight gradient reuses the
-    narrower side's im2col (x's when Cin < Cout, else the output
-    gradient's, which the input gradient shares).  Each forward output and
-    input gradient element is the same dot product, in the same order, as
-    with the batch outermost, so both are bitwise what a [C, N*H*W] layout
-    gives; the weight and bias gradients sum their pixels in (h, w, n)
-    order, whatever the layout of the incoming gradient.  The tape keeps no
-    padded copy of x.
+    pre-tanh output on the tape.  Each pass runs GEMMs over a batch-innermost
+    layout: operands are padded into [C, H+2p, W+2p, N] buffers (see
+    ``_pad_chwn``), so each window copy runs over W*N contiguous elements,
+    and GEMM columns are pixels in (h, w, n) order.  The forward and input
+    gradient hold one block of their window copy at a time (``_correlate``);
+    the weight gradient is one GEMM over the narrower side's whole im2col
+    (x's when Cin < Cout, else the output gradient's, shared with the input
+    gradient).  The result and the input gradient stay in the [C, H, W, N]
+    memory the GEMMs wrote, as [N, C, H, W]-shaped views, so a conv that
+    feeds another conv costs no layout copy in either pass.  The input
+    gradient correlates the output gradient with the kernel flipped in space
+    and its channel axes swapped.  Each forward output and input gradient
+    element is the same dot product, in the same order, as with the batch
+    outermost, so both are bitwise what a [C, N*H*W] layout gives; the
+    weight and bias gradients sum their pixels in (h, w, n) order, whatever
+    the layout of the incoming gradient.  The tape keeps no padded copy of x.
     """
     _check_nchw(x, "conv2d_same")
     if w.ndim != 4 or w.shape[2] != w.shape[3]:
@@ -428,9 +466,10 @@ def conv2d_same(x, w, b=None, tanh=False):
             if x.requires_grad:
                 gx = _correlate(_pad_chwn(g, pad), flipped)
             if w.requires_grad:
-                gw = (_im2col(_pad_chwn(x.data, pad), k) @ go.T).T.reshape(w.shape)
+                cols = _im2col(_pad_chwn(x.data, pad), k).reshape(c_in * k * k, -1)
+                gw = (cols @ go.T).T.reshape(w.shape)
         else:  # g's im2col is the narrower or equal one; both gradients use it
-            cols = _im2col(_pad_chwn(g, pad), k)
+            cols = _im2col(_pad_chwn(g, pad), k).reshape(c_out * k * k, -1)
             if x.requires_grad:
                 gx = (flipped.reshape(c_in, -1) @ cols).reshape(c_in, h, wd, n)
             if w.requires_grad:

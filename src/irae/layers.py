@@ -295,17 +295,17 @@ class AffineCoupling:
         self.w3, self.b3 = _conv_param(channels, hidden, 3, rng, dtype, zero=True)
 
     def _halves(self, a):
-        """Views of the two channel halves of an array with the coupling's C channels."""
-        if a.shape[1] != self.channels:
-            raise ValueError(f"coupling: expected {self.channels} channels, got {a.shape[1]}")
-        return np.split(a, 2, axis=1)
+        """Views of the two channel halves of an [N,C,H,W] array with the coupling's C channels."""
+        if a.ndim != 4 or a.shape[1] != self.channels:
+            raise ValueError(f"coupling: expected [N,{self.channels},H,W], got shape {a.shape}")
+        return a[:, : self.channels // 2], a[:, self.channels // 2 :]
 
     def _net(self, xa):
         """The net's output on x_a, with s = sigmoid(raw + 2) and t from its halves."""
         h = conv2d_same(xa, self.w1, self.b1, tanh=True)
         h = conv2d_same(h, self.w2, self.b2, tanh=True)
         out = conv2d_same(h, self.w3, self.b3)
-        raw, t = np.split(out.data, 2, axis=1)
+        raw, t = self._halves(out.data)
         return out, _sigmoid(raw + 2), t
 
     def forward(self, x):
@@ -314,7 +314,7 @@ class AffineCoupling:
         out, s, t = self._net(narrow_channels(x, 0, self.channels // 2))
 
         def bwd():
-            ga, gb = np.split(y.grad, 2, axis=1)
+            ga, gb = self._halves(y.grad)
             if x.requires_grad:
                 _accum(x, np.concatenate([ga, gb * s], axis=1))
             # out (downstream of x_a) needs grad whenever this record exists

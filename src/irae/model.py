@@ -51,7 +51,7 @@ _HEADER = struct.Struct("<4sIIIIIBBHQQ")
 # restore, verify and each training shard run the model on at most this many
 # pixels per channel (and at least one image), so a batch holds no more
 # activations than eight 32x32 images; on a K=16 L=2 h=29 RGB model (5.05 MiB
-# of float32 parameters) a restore batch adds 3.04 MiB, less than the model
+# of float32 parameters) a restore batch adds 1.35 MiB, less than the model
 BATCH_PIXELS = 2**13
 
 

@@ -35,7 +35,7 @@ from irae.autodiff import (
     sum_all,
     tanh,
 )
-from irae.autodiff import _grad_enabled
+from irae.autodiff import _BLOCK_BYTES, _correlate, _grad_enabled
 from irae.layers import ActNorm, InvertibleConv1x1, squeeze, unsqueeze
 
 FD_STEP = 1e-5
@@ -379,6 +379,109 @@ def test_conv2d_float32_at_desk_shape_matches_float64():
     for g32, g64 in zip(grads[np.float32], grads[np.float64]):
         assert g32.dtype == np.float32
         np.testing.assert_allclose(g32, g64, rtol=0, atol=1e-5 * np.abs(g64).max())
+
+
+
+def correlate_one_gemm(ap, wt):
+    """_correlate as one GEMM over its whole lowered operand: the input's
+    im2col when Ci <= Co, else all k*k*Co tap planes over every padded row,
+    followed by k*k shifted adds."""
+    c_out, c_in, k, _ = wt.shape
+    _, hp, wp, n = ap.shape
+    h, wd = hp - k + 1, wp - k + 1
+    if c_in <= c_out:
+        win = np.lib.stride_tricks.sliding_window_view(ap, (k, k), axis=(1, 2))
+        cols = win.transpose(0, 4, 5, 1, 2, 3).reshape(c_in * k * k, -1)  # (c, dy, dx) x (h, w, n)
+        return (wt.reshape(c_out, -1) @ cols).reshape(c_out, h, wd, n)
+    taps = wt.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in) @ ap.reshape(c_in, -1)
+    taps = taps.reshape(k, k, c_out, hp, wp * n)
+    acc = np.zeros((c_out, h, wd * n), dtype=ap.dtype)
+    for dy, dx in np.ndindex(k, k):
+        acc += taps[dy, dx, :, dy : dy + h, dx * n : (dx + wd) * n]
+    return acc.reshape(c_out, h, wd, n)
+
+
+class TestCorrelateBlocks:
+    """_correlate splits its GEMM into blocks of output rows (im2col side)
+    or kernel rows (taps side); each case names the GEMM count it must use,
+    and the result must be bitwise the one-GEMM formula's.  float64 splits
+    are held to a few ulps instead: OpenBLAS's float64 kernels round the
+    columns of a GEMM's last partial panel, or its last rows, differently
+    from the same columns inside a wider GEMM."""
+
+    CASES = {
+        # id: (padded input [Ci,Hp,Wp,N], Co, k, dtype, GEMMs)
+        "one block": ((6, 18, 18, 4), 29, 3, np.float32, 1),
+        "blocks, uneven": ((29, 34, 34, 2), 29, 3, np.float32, 5),  # Ci == Co
+        "blocks, N=1": ((29, 66, 66, 1), 29, 3, np.float32, 10),
+        "blocks, k=1": ((64, 64, 64, 2), 64, 1, np.float32, 4),
+        "blocks, k=5": ((24, 20, 20, 2), 29, 5, np.float32, 3),
+        "taps, per kernel row": ((29, 34, 34, 2), 12, 3, np.float32, 3),  # Ci > Co
+        "taps, k=5": ((64, 36, 36, 2), 8, 5, np.float32, 5),
+        "taps, k=1": ((64, 64, 64, 2), 8, 1, np.float32, 1),
+        "taps, one GEMM": ((32, 10, 10, 16), 2, 3, np.float32, 1),
+        "blocks, float64": ((29, 34, 34, 2), 29, 3, np.float64, 10),
+        "taps, float64": ((29, 66, 66, 1), 12, 3, np.float64, 3),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bitwise_one_gemm_result_holding_one_block(self, case, monkeypatch):
+        shape, c_out, k, dtype, gemms = self.CASES[case]
+        rng = np.random.default_rng(sum(shape) + c_out + k)
+        ap = rng.standard_normal(shape).astype(dtype)
+        wt = rng.standard_normal((c_out, shape[0], k, k)).astype(dtype)
+        operands, matmul = [], np.matmul
+
+        def spy(a, b, **kw):
+            operands.append(b)
+            return matmul(a, b, **kw)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        got = _correlate(ap, wt)
+        monkeypatch.undo()
+        with no_grad():  # blocks go through the thread's kept buffer, twice
+            for _ in range(2):
+                assert _correlate(ap, wt).tobytes() == got.tobytes()
+        want = correlate_one_gemm(ap, wt)
+        assert got.shape == want.shape and got.dtype == dtype
+        if dtype == np.float32:
+            assert got.tobytes() == want.tobytes()
+        else:
+            scale = correlate_one_gemm(np.abs(ap), np.abs(wt))  # |w| . |x| per element
+            assert np.all(np.abs(got - want) <= 4 * np.finfo(dtype).eps * scale)
+        assert len(operands) == gemms
+        if shape[0] <= c_out and gemms > 1:  # blocks of rows that differ by at most one
+            rows = [b.shape[1] // (shape[2] - k + 1) // shape[3] for b in operands]
+            assert sum(rows) == shape[1] - k + 1
+            assert max(rows) - min(rows) == (0 if "k=1" in case else 1)
+            if dtype == np.float32:  # within a row of _BLOCK_BYTES; float64 meets _BLOCK_MACS first
+                assert max(b.nbytes for b in operands) * (max(rows) - 1) // max(rows) <= _BLOCK_BYTES
+
+
+def test_conv2d_peak_memory_holds_one_block_of_its_im2col():
+    """The restore model's first-level hidden conv (29 -> 29, N=2, 32x32):
+    a one-GEMM im2col alone would be nine times the output.  It runs on a
+    new thread, whose conv scratch buffer starts empty."""
+    rng = np.random.default_rng(45)
+    x, w, b = (Tensor(rng.standard_normal(s).astype(np.float32))
+               for s in [(2, 29, 32, 32), (29, 29, 3, 3), (29,)])
+    result = {}
+
+    def run():
+        with no_grad():
+            tracemalloc.start()
+            try:
+                result["out"] = conv2d_same(x, w, b, tanh=True).data
+                result["peak"] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    ratio = result["peak"] / result["out"].nbytes
+    assert ratio < 6, f"peak {ratio:.1f}x the output"
 
 
 class TestReduce:

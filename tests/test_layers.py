@@ -443,7 +443,16 @@ class TestAffineCoupling:
         y = np.ones((1, 3, 4, 4), dtype=np.float32)
         for method in (lambda: layer.forward(Tensor(y)), lambda: layer.inverse(y),
                        lambda: layer.log_det(y)):
-            with pytest.raises(ValueError, match="coupling: expected 2 channels, got 3"):
+            with pytest.raises(ValueError, match=r"coupling: expected \[N,2,H,W\], got shape \(1, 3, "):
+                method()
+
+    def test_every_method_refuses_an_input_that_is_not_4d(self):
+        """Each method names the shape it was given, not a halved one inside its net."""
+        layer = AffineCoupling(4, 3, rng=np.random.default_rng(24))
+        y = np.ones((2, 4, 8), dtype=np.float32)
+        for method in (lambda: layer.forward(Tensor(y)), lambda: layer.inverse(y),
+                       lambda: layer.log_det(y)):
+            with pytest.raises(ValueError, match=r"coupling: expected \[N,4,H,W\], got shape \(2, 4, 8\)"):
                 method()
 
     def test_forward_is_five_records(self):
