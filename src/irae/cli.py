@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import no_grad
 from .degrade import DegradationSpec
-from .infotheory import FiniteMap, iter_all_maps, information_preservation_check
+from .infotheory import iter_all_maps, information_preservation_check
 from .metrics import psnr, ssim
 from .model import PRECISION_DTYPES, IraeConfig, build, load_checkpoint, randomize_parameters
 from .model import _assemble, images_per_batch, save_checkpoint
@@ -320,17 +320,13 @@ def cmd_mi_demo(args):
     print()
     uniform4 = np.full(4, 0.25)
     scenarios = [
-        ("identity on uniform 4 symbols", uniform4, FiniteMap((0, 1, 2, 3))),
-        ("parity (x mod 2) on uniform 4 symbols", uniform4, FiniteMap((0, 1, 0, 1), 2)),
-        ("constant map on uniform 4 symbols", uniform4, FiniteMap((0, 0, 0, 0), 1)),
-        (
-            "permutation on uniform 8 symbols",
-            np.full(8, 0.125),
-            FiniteMap((3, 7, 0, 5, 1, 6, 2, 4)),
-        ),
+        ("identity on uniform 4 symbols", uniform4, (0, 1, 2, 3)),
+        ("parity (x mod 2) on uniform 4 symbols", uniform4, (0, 1, 0, 1)),
+        ("constant map on uniform 4 symbols", uniform4, (0, 0, 0, 0)),
+        ("permutation on uniform 8 symbols", np.full(8, 0.125), (3, 7, 0, 5, 1, 6, 2, 4)),
     ]
-    for title, px, fmap in scenarios:
-        r = information_preservation_check(px, fmap)
+    for title, px, labels in scenarios:
+        r = information_preservation_check(px, labels)
         print(f"{title}:")
         print(
             f"  injective={r.injective}  H(X)={r.entropy_x:.6f}  "
@@ -341,8 +337,8 @@ def cmd_mi_demo(args):
     total = injective_count = 0
     worst_dev = 0.0
     ok = True
-    for fmap in iter_all_maps(4, 4):
-        r = information_preservation_check(uniform4, fmap)
+    for labels in iter_all_maps(4, 4):
+        r = information_preservation_check(uniform4, labels)
         total += 1
         if r.injective:
             injective_count += 1

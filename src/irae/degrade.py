@@ -78,6 +78,8 @@ class DegradationSpec:
             raise ValueError(f"quality factor must be in 1..100, got {self.quality_factor}")
         mh, mw = self.mask_size
         h, w = self.image_size
+        if self.kind == "inpaint" and (mh < 1 or mw < 1):
+            raise ValueError(f"mask size must be positive, got {mh}x{mw}")
         if self.kind == "inpaint" and (mh > h // 2 or mw > w // 2):
             raise ValueError(
                 f"mask {mh}x{mw} larger than the central region of a {h}x{w} image"

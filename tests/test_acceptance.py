@@ -287,8 +287,8 @@ class TestCriterion7InformationPreservation:
         h_x = entropy(px)
         assert h_x == pytest.approx(2.0, abs=1e-15)
         checked = violations = 0
-        for fmap in iter_all_maps(4, 4):
-            r = information_preservation_check(px, fmap)
+        for labels in iter_all_maps(4, 4):
+            r = information_preservation_check(px, labels)
             checked += 1
             if r.injective:
                 if abs(r.mutual_info - 2.0) > 1e-12 or not r.conditional_certain:

@@ -326,12 +326,29 @@ class TestVerifyCommand:
         assert code == 2
         assert "nan" in out and "FAIL" in out
 
+
+# mi-demo's text as the dense joint-table implementation printed it
+MI_DEMO_OUTPUT = (
+    'information preservation on finite discrete variables (bits)\n'
+    '\n'
+    'identity on uniform 4 symbols:\n'
+    '  injective=True  H(X)=2.000000  I(X;f(X))=2.000000  loss=0.000000  P(x|z)=1 everywhere: True\n'
+    'parity (x mod 2) on uniform 4 symbols:\n'
+    '  injective=False  H(X)=2.000000  I(X;f(X))=1.000000  loss=1.000000  P(x|z)=1 everywhere: False\n'
+    'constant map on uniform 4 symbols:\n'
+    '  injective=False  H(X)=2.000000  I(X;f(X))=0.000000  loss=2.000000  P(x|z)=1 everywhere: False\n'
+    'permutation on uniform 8 symbols:\n'
+    '  injective=True  H(X)=3.000000  I(X;f(X))=3.000000  loss=0.000000  P(x|z)=1 everywhere: True\n'
+    '\n'
+    'exhaustive sweep of all 256 maps on 4 symbols: 24 injective preserve all 2 bits '
+    '(max deviation 0.00e+00); every non-injective map loses information: CONFIRMED\n'
+)
+
+
 class TestMiDemoCommand:
     def test_runs_and_confirms(self, capsys):
         assert main(["mi-demo"]) == 0
-        out = capsys.readouterr().out
-        assert "CONFIRMED" in out
-        assert "loss=1.000000" in out  # parity map loses exactly one bit
+        assert capsys.readouterr().out == MI_DEMO_OUTPUT
 
 
 class TestErrorHandling:
@@ -394,6 +411,20 @@ class TestErrorHandling:
         assert message in capsys.readouterr().err
         assert not ckpt.exists()
         assert not (tmp_path / "out").exists()
+
+    def test_train_inpaint_mask_side_below_one_refused(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        write_dataset(data, smooth_patches(4, 16, np.random.default_rng(17)))
+        ckpt, out = tmp_path / "ckpt" / "m.ckpt", tmp_path / "out"
+        code = main(
+            ["train", "--dataset-dir", str(data), "--task", "inpaint", "--mask-h", "0",
+             "--mask-w", "4", "--flow-steps", "1", "--levels", "1", "--hidden-width", "4",
+             "--epochs-max", "1", "--checkpoint", str(ckpt), "--output-dir", str(out)]
+        )
+        assert code == 1
+        assert "mask size must be positive, got 0x4" in capsys.readouterr().err
+        assert not ckpt.parent.exists()
+        assert not out.exists()
 
     def test_train_makes_its_directories_before_training(self, tmp_path, monkeypatch, capsys):
         data = tmp_path / "data"

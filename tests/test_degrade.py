@@ -191,6 +191,11 @@ class TestSpecAndDispatch:
         with pytest.raises(ValueError, match="central region"):
             DegradationSpec(kind="inpaint", mask_size=(20, 20), image_size=(32, 32)).validate()
 
+    @pytest.mark.parametrize("mask_size", [(0, 4), (4, 0), (-1, -1)])
+    def test_inpaint_mask_side_below_one_refused(self, mask_size):
+        with pytest.raises(ValueError, match="mask size must be positive"):
+            DegradationSpec(kind="inpaint", mask_size=mask_size, image_size=(16, 16)).validate()
+
     @pytest.mark.parametrize("sigma", [math.inf, math.nan])
     def test_non_finite_sigma_refused(self, sigma):
         with pytest.raises(ValueError, match="sigma must be finite"):
