@@ -158,11 +158,19 @@ class TestInformationPreservation:
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
-class TestValidation:
-    def test_rejects_px_not_summing_to_one(self):
+class TestDiscreteJoint:
+    def test_validates_sum(self):
         with pytest.raises(ValueError, match="probability"):
-            information_preservation_check([0.5, 0.6], (0, 1))
+            information_preservation_check(np.full(4, 0.3), (0, 1, 2, 3))
 
+
+class TestPushForward:
+    def test_rejects_bad_distribution(self):
+        with pytest.raises(ValueError, match="probability"):
+            information_preservation_check(np.array([0.5, 0.6]), (0, 1))
+
+
+class TestValidation:
     def test_rejects_negative_entry(self):
         with pytest.raises(ValueError, match="probability"):
             information_preservation_check([1.2, -0.2], (0, 1))
