@@ -348,10 +348,10 @@ def _im2col(ap, k):
 
 
 class _Scratch(threading.local):
-    """Per thread: the buffer _correlate copies window blocks and tap planes into,
+    """Per thread: the buffer conv2d_same copies window blocks and tap planes into,
     kept between no-grad calls.  Freed after each call, blocks of a few hundred KiB
     keep glibc's heap-trim threshold low, and inference faults the heap top in again
-    at every flow step.  In grad mode the buffer goes: it would add to the tape's peak."""
+    at every flow step.  Grad mode takes a new one per call: kept, it adds to the tape's peak."""
 
     buf = np.empty(0, np.uint8)
 
@@ -369,32 +369,45 @@ class _Scratch(threading.local):
 _scratch = _Scratch()
 
 
+def _window_gemms(ap, k, left=None, right=None):
+    """left @ W and W @ right.T, W being padded [C,Hp,Wp,N]'s window matrix (``_im2col``),
+    copied a block of columns at a time into the thread's ``_Scratch`` (MEC, Cho & Brand
+    2017).  Blocks of output rows, with counts that differ by at most one, hold about
+    _BLOCK_BYTES, but each GEMM does _BLOCK_MACS multiply-adds or more: OpenBLAS then gives
+    each float32 element of left @ W one whole GEMM's bits (float64: within ulps).
+    W @ right.T adds its blocks' GEMMs in block order.  A None operand gives None."""
+    win = _im2col(ap, k)
+    c, _, _, h, wn = win.shape
+    row, m = c * k * k * wn, len(left if left is not None else right)  # row: its window elements
+    blocks = max(1, min(-(-h // max(1, _BLOCK_BYTES // (row * ap.itemsize))),
+                        h // -(-_BLOCK_MACS // (m * row))))
+    flat = _scratch.take(row * -(-h // blocks), ap.dtype)  # room for the largest block
+    lw, wr = None if left is None else np.empty((m, h * wn), dtype=ap.dtype), None
+    for i in range(blocks):
+        r0, r1 = i * h // blocks, (i + 1) * h // blocks
+        cols = flat[: row * (r1 - r0)].reshape(c * k * k, -1)
+        cols.reshape(win[:, :, :, r0:r1].shape)[...] = win[:, :, :, r0:r1]
+        if left is not None:
+            np.matmul(left, cols, out=lw[:, r0 * wn : r1 * wn])
+        if right is not None:
+            part = np.matmul(cols, right[:, r0 * wn : r1 * wn].T)
+            wr = np.add(wr, part, out=wr) if i else part
+    return lw, wr
+
+
 def _correlate(ap, wt):
     """Padded [Ci,Hp,Wp,N] correlated with wt [Co,Ci,k,k] -> [Co,H,W,N].
 
-    GEMMs with pixels and batch in their columns over the narrower side's
-    window copy, one block of it at a time in the thread's ``_Scratch`` (MEC,
-    Cho & Brand 2017): im2col blocks of output rows of about _BLOCK_BYTES
-    when Ci <= Co, else one kernel row's k*Co tap planes, then its k shifted
-    adds over W*N runs.  Split GEMMs do _BLOCK_MACS multiply-adds or more,
-    where OpenBLAS gives each float32 element the bits of one whole GEMM
-    (float64: within ulps).
+    GEMMs with pixels and batch in their columns over the narrower side's window
+    copy, one block of it at a time: ``_window_gemms`` when Ci <= Co, else one kernel
+    row's k*Co tap planes in the thread's ``_Scratch`` and their k shifted adds over
+    W*N runs (one GEMM per kernel row when that does _BLOCK_MACS multiply-adds).
     """
     c_out, c_in, k, _ = wt.shape
     _, hp, wp, n = ap.shape
     h, wd = hp - k + 1, wp - k + 1
     if c_in <= c_out:
-        win, wmat, row = _im2col(ap, k), wt.reshape(c_out, -1), c_in * k * k * wd * n
-        blocks = max(1, min(-(-h // max(1, _BLOCK_BYTES // (row * ap.itemsize))),
-                            h // -(-_BLOCK_MACS // (c_out * row))))  # row: its window elements
-        acc = np.empty((c_out, h * wd * n), dtype=ap.dtype)
-        flat = _scratch.take(row * -(-h // blocks), ap.dtype)  # room for the largest block
-        for i in range(blocks):
-            r0, r1 = i * h // blocks, (i + 1) * h // blocks
-            cols = flat[: row * (r1 - r0)].reshape(win[:, :, :, r0:r1].shape)
-            cols[...] = win[:, :, :, r0:r1]
-            np.matmul(wmat, cols.reshape(wmat.shape[1], -1), out=acc[:, r0 * wd * n : r1 * wd * n])
-        return acc.reshape(c_out, h, wd, n)
+        return _window_gemms(ap, k, left=wt.reshape(c_out, -1))[0].reshape(c_out, h, wd, n)
     acc = np.zeros((c_out, h, wd * n), dtype=ap.dtype)
     g = 1 if k * c_out * c_in * h * wp * n >= _BLOCK_MACS else k  # kernel rows per GEMM
     taps = _scratch.take(g * k * c_out * (h + g - 1) * wp * n, ap.dtype)
@@ -416,19 +429,19 @@ def conv2d_same(x, w, b=None, tanh=False):
     pre-tanh output on the tape.  Each pass runs GEMMs over a batch-innermost
     layout: operands are padded into [C, H+2p, W+2p, N] buffers (see
     ``_pad_chwn``), so each window copy runs over W*N contiguous elements,
-    and GEMM columns are pixels in (h, w, n) order.  The forward and input
-    gradient hold one block of their window copy at a time (``_correlate``);
-    the weight gradient is one GEMM over the narrower side's whole im2col
-    (x's when Cin < Cout, else the output gradient's, shared with the input
-    gradient).  The result and the input gradient stay in the [C, H, W, N]
-    memory the GEMMs wrote, as [N, C, H, W]-shaped views, so a conv that
-    feeds another conv costs no layout copy in either pass.  The input
-    gradient correlates the output gradient with the kernel flipped in space
-    and its channel axes swapped.  Each forward output and input gradient
-    element is the same dot product, in the same order, as with the batch
-    outermost, so both are bitwise what a [C, N*H*W] layout gives; the
-    weight and bias gradients sum their pixels in (h, w, n) order, whatever
-    the layout of the incoming gradient.  The tape keeps no padded copy of x.
+    and GEMM columns are pixels in (h, w, n) order.  Both passes hold one
+    block of their window copy at a time (``_correlate``, ``_window_gemms``):
+    the weight gradient adds one GEMM per block of the narrower side's window
+    (x's when Cin < Cout, else the output gradient's, whose blocks also feed
+    the input gradient).  The result and the input gradient stay in the
+    [C, H, W, N] memory the GEMMs wrote, as [N, C, H, W]-shaped views, so a
+    conv that feeds another conv costs no layout copy in either pass.  The
+    input gradient correlates the output gradient with the kernel flipped in
+    space and its channel axes swapped.  Each forward output and input
+    gradient element is the same dot product, in the same order, as with the
+    batch outermost, so both are bitwise what a [C, N*H*W] layout gives; the
+    weight and bias gradients sum their pixels in (h, w, n) order (the weight's
+    in blocks), whatever the incoming gradient's layout.  No padded x is taped.
     """
     _check_nchw(x, "conv2d_same")
     if w.ndim != 4 or w.shape[2] != w.shape[3]:
@@ -460,27 +473,26 @@ def conv2d_same(x, w, b=None, tanh=False):
 
     def bwd():
         g = out.grad * (1 - data * data) if tanh else out.grad
-        flipped = w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
         go = _pad_chwn(g, 0).reshape(c_out, -1)  # a view when g comes from a conv
-        if c_in < c_out:
+        if b is not None and b.requires_grad:
+            _accum(b, go.sum(axis=1))
+        flipped = w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+        gw = None
+        if c_in < c_out:  # gx on _correlate's taps side, gw from x's window
             if x.requires_grad:
                 gx = _correlate(_pad_chwn(g, pad), flipped)
             if w.requires_grad:
-                cols = _im2col(_pad_chwn(x.data, pad), k).reshape(c_in * k * k, -1)
-                gw = (cols @ go.T).T.reshape(w.shape)
-        else:  # g's im2col is the narrower or equal one; both gradients use it
-            cols = _im2col(_pad_chwn(g, pad), k).reshape(c_out * k * k, -1)
-            if x.requires_grad:
-                gx = (flipped.reshape(c_in, -1) @ cols).reshape(c_in, h, wd, n)
-            if w.requires_grad:
-                gw = cols @ _pad_chwn(x.data, 0).reshape(c_in, -1).T
+                gw = _window_gemms(_pad_chwn(x.data, pad), k, right=go)[1].T.reshape(w.shape)
+        elif x.requires_grad or w.requires_grad:  # both from g's window, the narrower or equal one
+            gp, g, go = _pad_chwn(g, pad), None, None  # the tanh-scaled g goes once padded
+            xmat = _pad_chwn(x.data, 0).reshape(c_in, -1) if w.requires_grad else None
+            gx, gw = _window_gemms(gp, k, flipped.reshape(c_in, -1) if x.requires_grad else None, xmat)
+            if gw is not None:  # rows in (c_out, dy, dx) order of the flipped kernel
                 gw = gw.reshape(c_out, k, k, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
         if x.requires_grad:
-            _accum(x, gx.transpose(3, 0, 1, 2))
-        if w.requires_grad:
+            _accum(x, gx.reshape(c_in, h, wd, n).transpose(3, 0, 1, 2))
+        if gw is not None:
             _accum(w, np.ascontiguousarray(gw))
-        if b is not None and b.requires_grad:
-            _accum(b, go.sum(axis=1))
 
     out = _result(data, parents, bwd)
     return out

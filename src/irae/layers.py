@@ -300,21 +300,24 @@ class AffineCoupling:
             raise ValueError(f"coupling: expected [N,{self.channels},H,W], got shape {a.shape}")
         return a[:, : self.channels // 2], a[:, self.channels // 2 :]
 
+    def _scale(self, out):  # s = sigmoid(raw + 2), raw the first half of the net's output array
+        return _sigmoid(self._halves(out)[0] + 2)
+
     def _net(self, xa):
-        """The net's output on x_a, with s = sigmoid(raw + 2) and t from its halves."""
+        """The net's output on x_a, with s and t from its halves."""
         h = conv2d_same(xa, self.w1, self.b1, tanh=True)
         h = conv2d_same(h, self.w2, self.b2, tanh=True)
         out = conv2d_same(h, self.w3, self.b3)
-        raw, t = self._halves(out.data)
-        return out, _sigmoid(raw + 2), t
+        return out, self._scale(out.data), self._halves(out.data)[1]
 
     def forward(self, x):
-        """[x_a, s*x_b + t]: one tape record over (x, net output) after the net's convs."""
+        """[x_a, s*x_b + t]: one tape record over (x, net output), whose backward recomputes s."""
         xa, xb = self._halves(x.data)
         out, s, t = self._net(narrow_channels(x, 0, self.channels // 2))
 
         def bwd():
             ga, gb = self._halves(y.grad)
+            s = self._scale(out.data)
             if x.requires_grad:
                 _accum(x, np.concatenate([ga, gb * s], axis=1))
             # out (downstream of x_a) needs grad whenever this record exists

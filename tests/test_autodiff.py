@@ -458,6 +458,101 @@ class TestCorrelateBlocks:
                 assert max(b.nbytes for b in operands) * (max(rows) - 1) // max(rows) <= _BLOCK_BYTES
 
 
+def conv_grads_one_gemm(x, w, g):
+    """conv2d_same's input and weight gradients for output gradient g, each
+    from one GEMM over a whole lowered operand: g's im2col feeds both when
+    Ci >= Co; when Ci < Co the weight gradient runs over x's im2col and the
+    input gradient is correlate_one_gemm's taps side."""
+    c_out, c_in, k, _ = w.shape
+    n, _, h, wd = x.shape
+    pad = k // 2
+
+    def padded(a):  # [N,C,H,W] -> zero-padded [C,H+2p,W+2p,N]
+        return np.pad(a.transpose(1, 2, 3, 0), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+
+    def im2col(a):  # rows in (c, dy, dx) order, columns in (h, w, n) order
+        win = np.lib.stride_tricks.sliding_window_view(padded(a), (k, k), axis=(1, 2))
+        return win.transpose(0, 4, 5, 1, 2, 3).reshape(a.shape[1] * k * k, -1)
+
+    flipped = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    if c_in < c_out:
+        gx = correlate_one_gemm(padded(g), flipped)
+        gw = (im2col(x) @ g.transpose(1, 2, 3, 0).reshape(c_out, -1).T).T.reshape(w.shape)
+    else:
+        cols = im2col(g)
+        gx = (flipped.reshape(c_in, -1) @ cols).reshape(c_in, h, wd, n)
+        gw = cols @ x.transpose(1, 2, 3, 0).reshape(c_in, -1).T
+        gw = gw.reshape(c_out, k, k, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+    return gx.transpose(3, 0, 1, 2), gw
+
+
+class TestConvBackwardBlocks:
+    """conv2d_same's backward copies the narrower side's window one block of
+    output rows at a time, as _correlate's forward does: g's window feeds
+    both gradients when Ci >= Co, x's feeds the weight gradient when Ci < Co.
+    Each case names its GEMM count and its window blocks.  The input gradient
+    must be bitwise the one-GEMM formula's, and so must the weight gradient
+    when the window fits one block; from more blocks it adds their GEMMs in
+    block order, a few float32 ulps of |g| . |x| from one GEMM.  float64 is
+    held to ulps throughout, as in TestCorrelateBlocks."""
+
+    CASES = {
+        # id: (x [N,Ci,H,W], Co, k, dtype, GEMMs, window blocks)
+        "Ci > Co, one block": ((2, 12, 8, 8), 6, 3, np.float32, 2, 1),
+        "Ci > Co, blocks": ((2, 40, 32, 32), 32, 3, np.float32, 10, 5),
+        "Ci > Co, blocks, k=5": ((2, 24, 20, 20), 16, 5, np.float32, 6, 3),
+        "Ci == Co, one block": ((4, 16, 8, 8), 16, 3, np.float32, 2, 1),
+        "Ci == Co, blocks, N=1": ((1, 32, 48, 48), 32, 3, np.float32, 12, 6),
+        "Ci == Co, blocks, k=1": ((2, 64, 64, 64), 64, 1, np.float32, 8, 4),
+        "Ci < Co, one block": ((2, 6, 8, 8), 29, 3, np.float32, 2, 1),
+        "Ci < Co, blocks": ((2, 24, 32, 32), 48, 3, np.float32, 7, 4),
+        "Ci == Co, blocks, float64": ((2, 29, 32, 32), 29, 3, np.float64, 20, 10),
+        "Ci < Co, blocks, float64": ((1, 12, 64, 64), 29, 3, np.float64, 11, 8),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_gradients_one_gemm_result_holding_one_block(self, case, monkeypatch):
+        shape, c_out, k, dtype, gemms, blocks = self.CASES[case]
+        n, c_in, h, wd = shape
+        rng = np.random.default_rng(sum(shape) + c_out + k)
+        x, w, b = (Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+                   for s in [shape, (c_out, c_in, k, k), (c_out,)])
+        g = rng.standard_normal((n, c_out, h, wd)).astype(dtype)
+        calls, matmul = [], np.matmul
+
+        def spy(p, q, **kw):
+            calls.append((p.shape, q.shape, "out" in kw))
+            return matmul(p, q, **kw)
+
+        y = conv2d_same(x, w, b)
+        y.grad = g
+        monkeypatch.setattr(np, "matmul", spy)
+        y._backward()
+        monkeypatch.undo()
+        assert b.grad.tobytes() == g.transpose(1, 2, 3, 0).reshape(c_out, -1).sum(axis=1).tobytes()
+        want_gx, want_gw = conv_grads_one_gemm(x.data, w.data, g)
+        scale_gx, scale_gw = conv_grads_one_gemm(np.abs(x.data), np.abs(w.data), np.abs(g))
+        ulps = 4 * np.finfo(dtype).eps
+        if dtype == np.float32:
+            assert x.grad.tobytes() == want_gx.tobytes()
+        else:
+            assert np.all(np.abs(x.grad - want_gx) <= ulps * scale_gx)
+        if blocks == 1:
+            assert w.grad.tobytes() == want_gw.tobytes()
+        else:
+            assert np.all(np.abs(w.grad - want_gw) <= ulps * scale_gw)
+        # the weight gradient's GEMMs write no out=; the window block is their first operand
+        assert len(calls) == gemms
+        cols = [p[1] for p, q, has_out in calls if not has_out]
+        if c_in >= c_out:  # the input gradient's GEMMs take the same blocks
+            assert [q[1] for p, q, has_out in calls if has_out] == cols
+        rows = [c // (wd * n) for c in cols]
+        assert len(rows) == blocks and sum(rows) == h and max(rows) - min(rows) <= 1
+        if dtype == np.float32 and blocks > 1:  # within a row of _BLOCK_BYTES
+            block_bytes = min(c_in, c_out) * k * k * max(cols) * np.dtype(dtype).itemsize
+            assert block_bytes * (max(rows) - 1) // max(rows) <= _BLOCK_BYTES
+
+
 def test_conv2d_peak_memory_holds_one_block_of_its_im2col():
     """The restore model's first-level hidden conv (29 -> 29, N=2, 32x32):
     a one-GEMM im2col alone would be nine times the output.  It runs on a
@@ -482,6 +577,39 @@ def test_conv2d_peak_memory_holds_one_block_of_its_im2col():
     assert not thread.is_alive()
     ratio = result["peak"] / result["out"].nbytes
     assert ratio < 6, f"peak {ratio:.1f}x the output"
+
+
+def test_conv2d_backward_peak_memory_holds_one_block_of_its_window():
+    """The reference model's hidden conv (64 -> 64, N=8, 16x16, with tanh),
+    x and the output gradient in a conv result's batch-innermost layout: a
+    whole im2col of the output gradient would alone be nine times the
+    output.  Its backward runs on a new thread, as the forward's test does."""
+    rng = np.random.default_rng(46)
+
+    def conv_result(c):  # [C,H,W,N] memory viewed as [N,C,H,W]
+        return rng.standard_normal((c, 16, 16, 8)).astype(np.float32).transpose(3, 0, 1, 2)
+
+    x = Tensor(conv_result(64), requires_grad=True)
+    w = Tensor(0.05 * rng.standard_normal((64, 64, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(64, np.float32), requires_grad=True)
+    y = conv2d_same(x, w, b, tanh=True)
+    y.grad = conv_result(64)
+    result = {}
+
+    def run():
+        tracemalloc.start()
+        try:
+            y._backward()
+            result["peak"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    ratio = result["peak"] / y.data.nbytes
+    assert ratio < 7, f"peak {ratio:.1f}x the output"
 
 
 class TestReduce:

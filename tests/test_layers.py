@@ -1,5 +1,6 @@
 """Invertible-layer checks: round trips, permutation structure, gradients."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -393,6 +394,23 @@ def coupling_by_generic_ops(layer, x):
 
 
 class TestAffineCoupling:
+    def test_tape_keeps_no_scale(self):
+        """A forward in grad mode holds the net's two hidden activations and
+        its output, and the coupling's output: its record recomputes s from
+        the net output in its backward, so it keeps no C/2-channel s."""
+        layer = AffineCoupling(4, 2, rng=np.random.default_rng(14), dtype=np.float64)
+        x = Tensor(np.random.default_rng(15).standard_normal((2, 4, 64, 64)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = layer.forward(x)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        channel = x.data.nbytes // 4
+        assert y.requires_grad
+        assert held < 12.5 * channel, f"{held / channel:.2f} channels held"  # 2 + 2 + 4 + 4
+
     def test_zero_init_scales_by_sigmoid_of_two(self):
         layer = AffineCoupling(4, 8, rng=np.random.default_rng(15), dtype=np.float64)
         for p in layer.parameters():

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
@@ -440,6 +441,33 @@ class TestShardedStep:
         assert loss == expected.item()
         for p, g in zip(fresh.parameters(), grads):
             assert np.array_equal(g, p.grad)
+
+    def test_desk_shard_step_peak_memory(self):
+        """One shard step at the desk config (K=4 L=2 h=32, 16 images of
+        16x16), on a new thread as training's shards run: the tape and the
+        backward's window blocks peak below 6x the parameter bytes.  A whole
+        im2col of each 32 -> 32 conv's output gradient took it to 6.4x."""
+        config = IraeConfig(flow_steps=4, levels=2, hidden_width=32, seed=0)
+        model = randomize_parameters(build(config), np.random.default_rng(47))
+        rng = np.random.default_rng(48)
+        x = rng.uniform(0.0, 1.0, (16, 1, 16, 16)).astype(np.float32)
+        y = (x + 0.1 * rng.standard_normal(x.shape)).astype(np.float32)
+        result = {}
+
+        def run():
+            tracemalloc.start()
+            try:
+                result["grads"] = train_module._shard_loss_grads(model, y, x, 16)[1]
+                result["peak"] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and result["grads"] is not None
+        ratio = result["peak"] / sum(p.data.nbytes for p in model.parameters())
+        assert ratio < 6, f"peak {ratio:.2f}x the parameters"
 
     def test_more_threads_than_cores_with_fast_switching_lose_no_update(self):
         """Six shards on six threads, switching every microsecond: a gradient
