@@ -441,7 +441,9 @@ def conv2d_same(x, w, b=None, tanh=False):
     gradient element is the same dot product, in the same order, as with the
     batch outermost, so both are bitwise what a [C, N*H*W] layout gives; the
     weight and bias gradients sum their pixels in (h, w, n) order (the weight's
-    in blocks), whatever the incoming gradient's layout.  No padded x is taped.
+    in blocks), whatever the incoming gradient's layout.  No padded x is taped:
+    the rule reads ``x.data`` and its result's ``.data`` when it runs, so a record
+    downstream may drop either after the forward and restore it first in its rule.
     """
     _check_nchw(x, "conv2d_same")
     if w.ndim != 4 or w.shape[2] != w.shape[3]:
@@ -472,7 +474,7 @@ def conv2d_same(x, w, b=None, tanh=False):
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd():
-        g = out.grad * (1 - data * data) if tanh else out.grad
+        g = out.grad * (1 - out.data * out.data) if tanh else out.grad
         go = _pad_chwn(g, 0).reshape(c_out, -1)  # a view when g comes from a conv
         if b is not None and b.requires_grad:
             _accum(b, go.sum(axis=1))
@@ -548,10 +550,10 @@ def backward(loss):
     """Populate grads of every reachable leaf tensor from a scalar.
 
     Runs each tape record once in reverse topological order and frees it,
-    with its ``.grad``, as soon as its rule has run: an activation lives
-    only until its last consumer's rule is done.  Leaves (tensors with no
-    backward rule, such as parameters) keep their grads.  A second backward
-    through the same graph raises.
+    with its ``.grad``, as soon as its rule has run: an activation lives only
+    until its last consumer's rule is done.  A rule runs before those of the
+    records it depends on, so it may first restore an input's dropped ``.data``.
+    Leaves (parameters, say) keep their grads; a second backward on a graph raises.
     """
     if loss.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")

@@ -303,19 +303,28 @@ class AffineCoupling:
     def _scale(self, out):  # s = sigmoid(raw + 2), raw the first half of the net's output array
         return _sigmoid(self._halves(out)[0] + 2)
 
-    def _net(self, xa):
-        """The net's output on x_a, with s and t from its halves."""
-        h = conv2d_same(xa, self.w1, self.b1, tanh=True)
-        h = conv2d_same(h, self.w2, self.b2, tanh=True)
+    def _net(self, xa, h=None):
+        """The net's output on x_a, or on its second hidden activation h; s and t from its halves."""
+        if h is None:
+            h = conv2d_same(conv2d_same(xa, self.w1, self.b1, tanh=True), self.w2, self.b2, tanh=True)
         out = conv2d_same(h, self.w3, self.b3)
         return out, self._scale(out.data), self._halves(out.data)[1]
 
     def forward(self, x):
-        """[x_a, s*x_b + t]: one tape record over (x, net output), whose backward recomputes s."""
+        """[x_a, s*x_b + t]: one tape record over (x, net output), whose backward recomputes s
+        and, first, the net's first hidden activation h1, whose array the forward drops."""
         xa, xb = self._halves(x.data)
-        out, s, t = self._net(narrow_channels(x, 0, self.channels // 2))
+        h = conv2d_same(narrow_channels(x, 0, self.channels // 2), self.w1, self.b1, tanh=True)
+        h1 = h if h.requires_grad else None  # else the next conv frees it, as in inference
+        h = conv2d_same(h, self.w2, self.b2, tanh=True)
+        if h1 is not None:  # only the net's rules read it, and they run after this record's
+            h1.data = None
+        out, s, t = self._net(None, h)
 
         def bwd():
+            if h1 is not None:  # the same call on the same operands: the same bits
+                with no_grad():
+                    h1.data = conv2d_same(Tensor(xa), self.w1, self.b1, tanh=True).data
             ga, gb = self._halves(y.grad)
             s = self._scale(out.data)
             if x.requires_grad:

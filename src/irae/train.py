@@ -80,7 +80,7 @@ class AdamState:
 
 
 def adam_step(params, grads, state, lr):
-    """Standard bias-corrected Adam update, applied in place."""
+    """Standard bias-corrected Adam update, in place, bitwise the textbook expressions'."""
     if len(params) != len(grads):
         raise ValueError("adam_step: params and grads length mismatch")
     for g in grads:
@@ -90,11 +90,12 @@ def adam_step(params, grads, state, lr):
     bc1 = 1.0 - BETA1**state.t
     bc2 = 1.0 - BETA2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m[...] = BETA1 * m + (1.0 - BETA1) * g
-        v[...] = BETA2 * v + (1.0 - BETA2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p.data[...] = p.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
+        a, b = np.multiply(g, 1.0 - BETA1), np.multiply(g, g)  # each tensor's two temporaries
+        np.add(np.multiply(m, BETA1, out=m), a, out=m)
+        np.add(np.multiply(v, BETA2, out=v), np.multiply(b, 1.0 - BETA2, out=b), out=v)
+        np.multiply(np.divide(m, bc1, out=a), lr, out=a)  # lr * m_hat
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), EPS, out=b)  # sqrt(v_hat) + EPS
+        np.subtract(p.data, np.divide(a, b, out=a), out=p.data)
 
 
 @dataclass

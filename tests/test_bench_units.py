@@ -20,10 +20,11 @@ import pytest
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
-# train-desk's tracemalloc peak per unit, as bench/run.py measures it: 9.58
-# MiB once backward frees the tape as it runs, 19.17 MiB when it kept every
-# record and activation gradient to the end
-TRAIN_DESK_PEAK_MIB = 14.0
+# train-desk's tracemalloc peak per unit, as bench/run.py measures it: 6.31
+# MiB when each coupling's backward rebuilds the net's first hidden activation,
+# 7.43 MiB when the tape kept it, 19.17 MiB when backward kept every record and
+# activation gradient to the end
+TRAIN_DESK_PEAK_MIB = 7.0
 
 
 def _load(name, filename):

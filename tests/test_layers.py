@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import irae.layers as layers_module
 from irae.autodiff import (
     Tensor,
     add,
@@ -393,23 +394,36 @@ def coupling_by_generic_ops(layer, x):
     return concat_channels(xa, yb)
 
 
+def channels_held_by_forward(hidden):
+    """Bytes a grad-mode AffineCoupling(4, hidden) forward leaves allocated, in
+    channels of its [2, 4, 64, 64] float64 input."""
+    layer = AffineCoupling(4, hidden, rng=np.random.default_rng(14), dtype=np.float64)
+    x = Tensor(np.random.default_rng(15).standard_normal((2, 4, 64, 64)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = layer.forward(x)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert y.requires_grad
+    return held / (x.data.nbytes // 4)
+
+
 class TestAffineCoupling:
     def test_tape_keeps_no_scale(self):
-        """A forward in grad mode holds the net's two hidden activations and
+        """A forward in grad mode holds the net's second hidden activation and
         its output, and the coupling's output: its record recomputes s from
         the net output in its backward, so it keeps no C/2-channel s."""
-        layer = AffineCoupling(4, 2, rng=np.random.default_rng(14), dtype=np.float64)
-        x = Tensor(np.random.default_rng(15).standard_normal((2, 4, 64, 64)), requires_grad=True)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            y = layer.forward(x)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        channel = x.data.nbytes // 4
-        assert y.requires_grad
-        assert held < 12.5 * channel, f"{held / channel:.2f} channels held"  # 2 + 2 + 4 + 4
+        held = channels_held_by_forward(2)
+        assert held < 11, f"{held:.2f} channels held"  # 2 + 4 + 4
+
+    def test_tape_holds_one_hidden_activation(self):
+        """With 32 hidden channels the forward holds the second hidden activation,
+        the net's output and the coupling's output, 32 + 4 + 4 channels: the first
+        one's array is dropped until the record's backward rebuilds it."""
+        held = channels_held_by_forward(32)
+        assert held < 44, f"{held:.2f} channels held"  # two would be 72
 
     def test_zero_init_scales_by_sigmoid_of_two(self):
         layer = AffineCoupling(4, 8, rng=np.random.default_rng(15), dtype=np.float64)
@@ -482,13 +496,19 @@ class TestAffineCoupling:
         assert len(y._parents) == 2 and y._parents[0] is x
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("channels, hidden", [(6, 5), (8, 3)])
-    def test_bitwise_equal_to_generic_ops(self, dtype, channels, hidden):
+    @pytest.mark.parametrize(
+        "channels, hidden, side",
+        # at 4-64 on 32x32 the 64 -> 64 conv copies its windows in 11 blocks
+        # (float32) or 32 (float64), in the forward and in the backward
+        [(6, 5, 8), (8, 3, 8), (4, 64, 32)],
+        ids=["6-5", "8-3", "4-64-32x32"],
+    )
+    def test_bitwise_equal_to_generic_ops(self, dtype, channels, hidden, side):
         rng = np.random.default_rng(24)
         layer = AffineCoupling(channels, hidden, rng=rng, dtype=dtype)
         for p in layer.parameters():
             p.data[...] = 0.3 * rng.standard_normal(p.shape)
-        x = Tensor(rng.standard_normal((2, channels, 8, 8)).astype(dtype), requires_grad=True)
+        x = Tensor(rng.standard_normal((2, channels, side, side)).astype(dtype), requires_grad=True)
         projection = Tensor(rng.standard_normal(x.shape).astype(dtype))
         leaves = [x] + layer.parameters()
         results = []
@@ -501,6 +521,48 @@ class TestAffineCoupling:
         for got, want in zip(*results):
             assert got.dtype == dtype
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_gradient_alone_bitwise_equal_to_generic_ops(self, dtype):
+        """With every parameter frozen, the first hidden activation still needs
+        grad through x: the forward drops its array, and x.grad, whose rules
+        read the rebuilt one, is bitwise the generic composition's."""
+        rng = np.random.default_rng(25)
+        layer = AffineCoupling(4, 32, rng=rng, dtype=dtype)
+        for p in layer.parameters():
+            p.data[...] = 0.3 * rng.standard_normal(p.shape)
+            p.requires_grad = False
+        x = Tensor(rng.standard_normal((2, 4, 8, 8)).astype(dtype), requires_grad=True)
+        projection = Tensor(rng.standard_normal(x.shape).astype(dtype))
+        y = layer.forward(x)
+        assert sum(r.data is None for r in tape_records(y).values()) == 1
+        backward(sum_all(mul(y, projection)))
+        got, x.grad = x.grad, None
+        backward(sum_all(mul(coupling_by_generic_ops(layer, x), projection)))
+        assert got.dtype == dtype
+        assert np.array_equal(got, x.grad)
+
+    def test_forward_with_nothing_needing_grad_drops_nothing(self, monkeypatch):
+        """No record means no rule to rebuild an array, so a grad-mode forward on
+        frozen parameters and x keeps every conv result, and a second one gives
+        the same bits."""
+        convs = []
+
+        def recording_conv(*args, **kwargs):
+            convs.append(conv2d_same(*args, **kwargs))
+            return convs[-1]
+
+        monkeypatch.setattr(layers_module, "conv2d_same", recording_conv)
+        rng = np.random.default_rng(26)
+        layer = AffineCoupling(4, 8, rng=rng, dtype=np.float64)
+        for p in layer.parameters():
+            p.data[...] = 0.3 * rng.standard_normal(p.shape)
+            p.requires_grad = False
+        x = Tensor(rng.standard_normal((2, 4, 8, 8)))
+        y = layer.forward(x)
+        assert not y.requires_grad
+        assert len(convs) == 3 and all(c.data is not None for c in convs)
+        assert np.array_equal(layer.forward(x).data, y.data)
 
     def test_gradients_through_all_parameters(self):
         rng = np.random.default_rng(21)

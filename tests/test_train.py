@@ -100,6 +100,29 @@ class TestAdam:
         assert state.m[0][0] == pytest.approx(0.9 * (1 - 0.9) * g, rel=1e-12)
         assert state.v[0][0] == pytest.approx(0.999 * (1 - 0.999) * g * g, rel=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_update_bitwise_equal_to_the_formula(self, dtype):
+        """Several steps on random gradients leave the parameters, m and v
+        bitwise where the textbook expressions, each a new array, put them."""
+        rng = np.random.default_rng(49)
+        shapes = [(8, 4, 3, 3), (8,), (5, 5)]
+        params = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
+        want = [p.data.copy() for p in params]
+        state = AdamState.for_params(params)
+        m, v = [np.zeros_like(w) for w in want], [np.zeros_like(w) for w in want]
+        for t, lr in enumerate([1e-3, 1e-3, 2e-4, 5e-5], start=1):
+            grads = [(10.0 ** rng.uniform(-6, 1, s) * rng.standard_normal(s)).astype(dtype)
+                     for s in shapes]
+            adam_step(params, grads, state, lr)
+            for i, g in enumerate(grads):
+                m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
+                v[i] = 0.999 * v[i] + (1.0 - 0.999) * (g * g)
+                m_hat, v_hat = m[i] / (1.0 - 0.9**t), v[i] / (1.0 - 0.999**t)
+                want[i] = want[i] - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        for p, w, sm, sv, wm, wv in zip(params, want, state.m, state.v, m, v):
+            assert p.data.dtype == dtype
+            assert np.array_equal(p.data, w) and np.array_equal(sm, wm) and np.array_equal(sv, wv)
+
     def test_nan_gradient_rejected(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
         state = AdamState.for_params([p])
@@ -445,8 +468,9 @@ class TestShardedStep:
     def test_desk_shard_step_peak_memory(self):
         """One shard step at the desk config (K=4 L=2 h=32, 16 images of
         16x16), on a new thread as training's shards run: the tape and the
-        backward's window blocks peak below 6x the parameter bytes.  A whole
-        im2col of each 32 -> 32 conv's output gradient took it to 6.4x."""
+        backward's window blocks peak below 5x the parameter bytes.  A whole
+        im2col of each 32 -> 32 conv's output gradient took it to 6.4x, and
+        keeping each coupling's first hidden activation on the tape to 5.5x."""
         config = IraeConfig(flow_steps=4, levels=2, hidden_width=32, seed=0)
         model = randomize_parameters(build(config), np.random.default_rng(47))
         rng = np.random.default_rng(48)
@@ -467,7 +491,7 @@ class TestShardedStep:
         thread.join(timeout=60)
         assert not thread.is_alive() and result["grads"] is not None
         ratio = result["peak"] / sum(p.data.nbytes for p in model.parameters())
-        assert ratio < 6, f"peak {ratio:.2f}x the parameters"
+        assert ratio < 5, f"peak {ratio:.2f}x the parameters"
 
     def test_more_threads_than_cores_with_fast_switching_lose_no_update(self):
         """Six shards on six threads, switching every microsecond: a gradient
