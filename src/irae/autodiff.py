@@ -76,6 +76,7 @@ class Tensor:
     ``grad`` is a numpy array of the same shape, left on leaves by
     ``backward`` and accumulated across multiple uses of the tensor in one
     graph; a non-leaf's grad is dropped once its backward rule has run.
+    ``data`` is None while a later record has dropped it, until that record's rule restores it.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents", "_spent")
@@ -114,6 +115,8 @@ class Tensor:
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
+        if self.data is None:
+            return f"Tensor(data dropped{flag})"
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{flag})"
 
     def __array__(self, dtype=None, copy=None):

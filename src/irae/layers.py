@@ -314,17 +314,14 @@ class AffineCoupling:
         """[x_a, s*x_b + t]: one tape record over (x, net output), whose backward recomputes s
         and, first, the net's first hidden activation h1, whose array the forward drops."""
         xa, xb = self._halves(x.data)
-        h = conv2d_same(narrow_channels(x, 0, self.channels // 2), self.w1, self.b1, tanh=True)
-        h1 = h if h.requires_grad else None  # else the next conv frees it, as in inference
-        h = conv2d_same(h, self.w2, self.b2, tanh=True)
-        if h1 is not None:  # only the net's rules read it, and they run after this record's
-            h1.data = None
+        h1 = conv2d_same(narrow_channels(x, 0, self.channels // 2), self.w1, self.b1, tanh=True)
+        h = conv2d_same(h1, self.w2, self.b2, tanh=True)
+        h1.data = None  # only the net's rules read it, and they run after this record's
         out, s, t = self._net(None, h)
 
         def bwd():
-            if h1 is not None:  # the same call on the same operands: the same bits
-                with no_grad():
-                    h1.data = conv2d_same(Tensor(xa), self.w1, self.b1, tanh=True).data
+            with no_grad():  # the same call on the same operands: the same bits
+                h1.data = conv2d_same(Tensor(xa), self.w1, self.b1, tanh=True).data
             ga, gb = self._halves(y.grad)
             s = self._scale(out.data)
             if x.requires_grad:

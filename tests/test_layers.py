@@ -523,29 +523,25 @@ class TestAffineCoupling:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_input_gradient_alone_bitwise_equal_to_generic_ops(self, dtype):
-        """With every parameter frozen, the first hidden activation still needs
-        grad through x: the forward drops its array, and x.grad, whose rules
-        read the rebuilt one, is bitwise the generic composition's."""
+    @pytest.mark.parametrize(
+        "frozen, h1_grad",
+        [("w1 b1 w2 b2 w3 b3", True), ("x w1 b1", False)],
+        ids=["parameters-frozen", "x-and-first-conv-frozen"],
+    )
+    def test_frozen_leaves_bitwise_equal_to_generic_ops(self, dtype, frozen, h1_grad, monkeypatch):
+        """Whether the first hidden activation needs grad through x or not, the
+        forward drops its array, and the gradients, whose conv rules read the
+        rebuilt one, are bitwise the generic composition's."""
         rng = np.random.default_rng(25)
         layer = AffineCoupling(4, 32, rng=rng, dtype=dtype)
-        for p in layer.parameters():
-            p.data[...] = 0.3 * rng.standard_normal(p.shape)
-            p.requires_grad = False
         x = Tensor(rng.standard_normal((2, 4, 8, 8)).astype(dtype), requires_grad=True)
+        leaves = {"x": x}
+        for name, p in zip("w1 b1 w2 b2 w3 b3".split(), layer.parameters()):
+            p.data[...] = 0.3 * rng.standard_normal(p.shape)
+            leaves[name] = p
+        for name in frozen.split():
+            leaves.pop(name).requires_grad = False
         projection = Tensor(rng.standard_normal(x.shape).astype(dtype))
-        y = layer.forward(x)
-        assert sum(r.data is None for r in tape_records(y).values()) == 1
-        backward(sum_all(mul(y, projection)))
-        got, x.grad = x.grad, None
-        backward(sum_all(mul(coupling_by_generic_ops(layer, x), projection)))
-        assert got.dtype == dtype
-        assert np.array_equal(got, x.grad)
-
-    def test_forward_with_nothing_needing_grad_drops_nothing(self, monkeypatch):
-        """No record means no rule to rebuild an array, so a grad-mode forward on
-        frozen parameters and x keeps every conv result, and a second one gives
-        the same bits."""
         convs = []
 
         def recording_conv(*args, **kwargs):
@@ -553,16 +549,19 @@ class TestAffineCoupling:
             return convs[-1]
 
         monkeypatch.setattr(layers_module, "conv2d_same", recording_conv)
-        rng = np.random.default_rng(26)
-        layer = AffineCoupling(4, 8, rng=rng, dtype=np.float64)
-        for p in layer.parameters():
-            p.data[...] = 0.3 * rng.standard_normal(p.shape)
-            p.requires_grad = False
-        x = Tensor(rng.standard_normal((2, 4, 8, 8)))
-        y = layer.forward(x)
-        assert not y.requires_grad
-        assert len(convs) == 3 and all(c.data is not None for c in convs)
-        assert np.array_equal(layer.forward(x).data, y.data)
+        results = []
+        for forward in (layer.forward, lambda t: coupling_by_generic_ops(layer, t)):
+            y = forward(x)
+            if not results:  # the layer's forward
+                flag = ", requires_grad=True" if h1_grad else ""
+                assert [repr(c) for c in convs if c.data is None] == [f"Tensor(data dropped{flag})"]
+            backward(sum_all(mul(y, projection)))
+            results.append([leaf.grad for leaf in leaves.values()])
+            for leaf in leaves.values():
+                leaf.grad = None
+        for got, want in zip(*results):
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
 
     def test_gradients_through_all_parameters(self):
         rng = np.random.default_rng(21)
