@@ -18,6 +18,7 @@ model replicas (``IraeModel.replica``).
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 
@@ -76,37 +77,53 @@ class Tensor:
     ``grad`` is a numpy array of the same shape, left on leaves by
     ``backward`` and accumulated across multiple uses of the tensor in one
     graph; a non-leaf's grad is dropped once its backward rule has run.
-    ``data`` is None while a later record has dropped it, until that record's rule restores it.
+    ``drop`` frees a recorded result's array; its first reader rebuilds it bitwise by its
+    forward's expression.  ``shape``, ``ndim``, ``size``, ``dtype`` and ``repr`` rebuild nothing.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents", "_spent")
+    __slots__ = ("_data", "requires_grad", "grad", "_backward", "_parents", "_rebuild")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
         if arr.dtype.type not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
-        self.data = arr
+        self._data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._backward = None
-        self._parents = ()
-        self._spent = False
+        self._parents = ()  # None once backward has consumed the record
+        self._rebuild = None
+
+    @property
+    def data(self):  # a dropped array's first reader rebuilds it, recording nothing
+        if self._data is None:
+            with no_grad():
+                self._data = self._rebuild[0]()
+        return self._data
+
+    @data.setter
+    def data(self, value):
+        self._data = value
+
+    def drop(self):  # frees a recorded result's array; without a record, does nothing
+        if self._rebuild is not None:
+            self._data = None
 
     @property
     def shape(self):
-        return self.data.shape
+        return self._rebuild[1] if self._data is None else self._data.shape
 
     @property
     def ndim(self):
-        return self.data.ndim
+        return len(self.shape)
 
     @property
     def size(self):
-        return self.data.size
+        return math.prod(self.shape)
 
     @property
     def dtype(self):
-        return self.data.dtype
+        return self._rebuild[2] if self._data is None else self._data.dtype
 
     def item(self):
         if self.data.size != 1:
@@ -115,7 +132,7 @@ class Tensor:
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
-        if self.data is None:
+        if self._data is None:
             return f"Tensor(data dropped{flag})"
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{flag})"
 
@@ -124,27 +141,30 @@ class Tensor:
         raise TypeError("a Tensor is not a numpy array; use its .data")
 
 
-def _result(data, parents, backward_fn):
-    """Wrap an op result, attaching the tape record when grad is needed.
+def _result(data, parents, backward_fn, rebuild=None):
+    """Wrap an op result, attaching the tape record, and rebuild, when grad is needed.
 
     backward_fn takes no arguments; it reads the grad of the returned tensor.
+    rebuild recomputes data from the parents' ``.data`` (see ``Tensor.drop``); the record
+    keeps it with data's shape and dtype.
     """
     out = Tensor.__new__(Tensor)
-    out.data = data
+    out._data = data
     out.grad = None
-    out._spent = False
     live = [p for p in parents if p.requires_grad]
     if _grad_enabled.enabled and live:
         for p in live:
-            if p._spent:
+            if p._parents is None:
                 raise RuntimeError("building on a graph already consumed by backward()")
         out.requires_grad = True
         out._parents = tuple(live)
         out._backward = backward_fn
+        out._rebuild = (rebuild, data.shape, data.dtype) if rebuild else None
     else:
         out.requires_grad = False
         out._parents = ()
         out._backward = None
+        out._rebuild = None
     return out
 
 
@@ -445,8 +465,8 @@ def conv2d_same(x, w, b=None, tanh=False):
     batch outermost, so both are bitwise what a [C, N*H*W] layout gives; the
     weight and bias gradients sum their pixels in (h, w, n) order (the weight's
     in blocks), whatever the incoming gradient's layout.  No padded x is taped:
-    the rule reads ``x.data`` and its result's ``.data`` when it runs, so a record
-    downstream may drop either after the forward and restore it first in its rule.
+    the rule reads ``x.data`` and its result's ``.data`` when it runs, so either may be
+    dropped after the forward: the result's rebuild is this call again, the same bits.
     """
     _check_nchw(x, "conv2d_same")
     if w.ndim != 4 or w.shape[2] != w.shape[3]:
@@ -489,7 +509,7 @@ def conv2d_same(x, w, b=None, tanh=False):
             if w.requires_grad:
                 gw = _window_gemms(_pad_chwn(x.data, pad), k, right=go)[1].T.reshape(w.shape)
         elif x.requires_grad or w.requires_grad:  # both from g's window, the narrower or equal one
-            gp, g, go = _pad_chwn(g, pad), None, None  # the tanh-scaled g goes once padded
+            gp, g, go, out.grad = _pad_chwn(g, pad), None, None, None  # g goes once padded
             xmat = _pad_chwn(x.data, 0).reshape(c_in, -1) if w.requires_grad else None
             gx, gw = _window_gemms(gp, k, flipped.reshape(c_in, -1) if x.requires_grad else None, xmat)
             if gw is not None:  # rows in (c_out, dy, dx) order of the flipped kernel
@@ -499,7 +519,7 @@ def conv2d_same(x, w, b=None, tanh=False):
         if gw is not None:
             _accum(w, np.ascontiguousarray(gw))
 
-    out = _result(data, parents, bwd)
+    out = _result(data, parents, bwd, lambda: conv2d_same(x, w, b, tanh).data)
     return out
 
 
@@ -525,7 +545,7 @@ def narrow_channels(x, start, stop):
         g[:, start:stop] = out.grad
         _accum(x, g)
 
-    out = _result(x.data[:, start:stop], (x,), bwd)
+    out = _result(x.data[:, start:stop], (x,), bwd, lambda: x.data[:, start:stop])
     return out
 
 
@@ -555,12 +575,12 @@ def backward(loss):
     Runs each tape record once in reverse topological order and frees it,
     with its ``.grad``, as soon as its rule has run: an activation lives only
     until its last consumer's rule is done.  A rule runs before those of the
-    records it depends on, so it may first restore an input's dropped ``.data``.
-    Leaves (parameters, say) keep their grads; a second backward on a graph raises.
+    records it depends on, so a dropped array it reads rebuilds from inputs still
+    there.  Leaves (parameters, say) keep their grads; a second backward on a graph raises.
     """
     if loss.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if loss._spent:
+    if loss._parents is None:
         raise RuntimeError("backward: graph already consumed")
     if not loss.requires_grad:
         raise RuntimeError("backward: loss does not require grad")
@@ -587,8 +607,7 @@ def backward(loss):
         if node._backward is not None:
             node._backward()
             node._backward = None
-            node._parents = ()
-            node._spent = True
+            node._parents = None
             node.grad = None
 
 

@@ -167,7 +167,7 @@ class ActNorm:
             if bias.requires_grad:
                 _accum(bias, g.sum(axis=(0, 2, 3)))
 
-        out = _result(x.data * s + b, (x, scale, bias), bwd)
+        out = _result(x.data * s + b, (x, scale, bias), bwd, lambda: x.data * s + b)
         return out
 
     def inverse(self, y):
@@ -222,13 +222,15 @@ class InvertibleConv1x1:
         _check_dtypes(x, weight, "conv1x1")
 
         def bwd():
+            xf = self._pixels(x.data)
             g = y.grad.reshape(xf.shape)
             if x.requires_grad:
                 _accum(x, np.matmul(weight.data.T, g).reshape(x.shape))
             if weight.requires_grad:
                 _accum(weight, np.tensordot(g, xf, axes=((0, 2), (0, 2))))
 
-        y = _result(np.matmul(weight.data, xf).reshape(x.shape), (x, weight), bwd)
+        y = _result(np.matmul(weight.data, xf).reshape(x.shape), (x, weight), bwd,
+                    lambda: np.matmul(weight.data, self._pixels(x.data)).reshape(x.shape))
         return y
 
     def inverse(self, y):
@@ -303,25 +305,25 @@ class AffineCoupling:
     def _scale(self, out):  # s = sigmoid(raw + 2), raw the first half of the net's output array
         return _sigmoid(self._halves(out)[0] + 2)
 
-    def _net(self, xa, h=None):
-        """The net's output on x_a, or on its second hidden activation h; s and t from its halves."""
-        if h is None:
-            h = conv2d_same(conv2d_same(xa, self.w1, self.b1, tanh=True), self.w2, self.b2, tanh=True)
+    def _net(self, xa):
+        """The net's output on the x_a tensor, and s and t from its halves.  x_a and the first
+        hidden activation are dropped once the second conv has read them (see ``Tensor``)."""
+        h1 = conv2d_same(xa, self.w1, self.b1, tanh=True)
+        h = conv2d_same(h1, self.w2, self.b2, tanh=True)
+        xa.drop()
+        h1.drop()
+        del h1  # inference, which drops nothing, frees it here too
         out = conv2d_same(h, self.w3, self.b3)
         return out, self._scale(out.data), self._halves(out.data)[1]
 
     def forward(self, x):
-        """[x_a, s*x_b + t]: one tape record over (x, net output), whose backward recomputes s
-        and, first, the net's first hidden activation h1, whose array the forward drops."""
+        """[x_a, s*x_b + t]: one tape record over (x, net output).  Its rule, which runs
+        before the net's, reads x when it runs, so x may be dropped, and recomputes s."""
         xa, xb = self._halves(x.data)
-        h1 = conv2d_same(narrow_channels(x, 0, self.channels // 2), self.w1, self.b1, tanh=True)
-        h = conv2d_same(h1, self.w2, self.b2, tanh=True)
-        h1.data = None  # only the net's rules read it, and they run after this record's
-        out, s, t = self._net(None, h)
+        out, s, t = self._net(narrow_channels(x, 0, self.channels // 2))
 
         def bwd():
-            with no_grad():  # the same call on the same operands: the same bits
-                h1.data = conv2d_same(Tensor(xa), self.w1, self.b1, tanh=True).data
+            xa, xb = self._halves(x.data)
             ga, gb = self._halves(y.grad)
             s = self._scale(out.data)
             if x.requires_grad:

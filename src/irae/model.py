@@ -106,11 +106,17 @@ class _FlowStep:
         self.coupling = AffineCoupling(channels, hidden, rng=rng, dtype=dtype)
 
     def forward(self, x):
+        """Drops the ActNorm output a and the 1x1 output m once read, so the tape keeps x:
+        the coupling's rule, which runs first in backward, rebuilds m, and a with it."""
         if not self.norm.initialized:
             self.norm.initialize(x)
-        x = self.norm.forward(x)
-        x = self.mix.forward(x)
-        return self.coupling.forward(x)
+        a = self.norm.forward(x)
+        m = self.mix.forward(a)
+        a.drop()
+        del a  # inference, which drops nothing, frees it here too
+        y = self.coupling.forward(m)
+        m.drop()
+        return y
 
     def inverse(self, y):
         y = self.coupling.inverse(y)

@@ -5,7 +5,11 @@ failure).  Full-scale published results are documented reference values
 only; these checks are property-based and desk-scale trend checks.
 """
 
+import multiprocessing
+import os
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -196,8 +200,28 @@ class TestCriterion4BlindDenoising:
         )
 
 
+def criterion5_restored_psnr(build_seed, train_seed, qf):
+    """Criterion 5's job for one seed pair and QF, on a worker process: train a
+    model on JPEG QF qf and return its mean PSNR on the held-out patches.  Each
+    worker makes its own data; numpy warnings fail the job, as under pytest."""
+    train_imgs = smooth_patches(120, 16, np.random.default_rng(10))
+    test_imgs = smooth_patches(40, 16, np.random.default_rng(3))
+    degraded = np.stack([apply_jpeg_sim(x, qf) for x in test_imgs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = build(IraeConfig(flow_steps=2, levels=2, hidden_width=16, seed=build_seed))
+        spec = DegradationSpec(kind="jpeg", quality_factor=qf)
+        model, _ = train(model, train_imgs, spec, epochs_max=20, batch_size=4, seed=train_seed)
+        with no_grad():
+            return jpeg_mean_psnr(test_imgs, model.forward(degraded).data)
+
+
+def jpeg_mean_psnr(test_imgs, images):
+    return float(np.mean([psnr(np.clip(y, 0, 1), x) for x, y in zip(test_imgs, images)]))
+
+
 class TestCriterion5JpegMonotonicity:
-    def test_psnr_nondecreasing_in_quality(self):
+    def test_psnr_nondecreasing_in_quality(self, monkeypatch):
         """Batches of 4 give 540 Adam steps per model.  With batches of 16
         (140 steps) every model restored worse than its degraded inputs,
         and QF 30 -> 40 moved by a mean 0.1 dB across 16 seed pairs, so 8 of
@@ -205,31 +229,32 @@ class TestCriterion5JpegMonotonicity:
         One pair's curve also moves with the float32 summation order, so the
         claim is made on the mean over three (build, train) seed pairs,
         fixed before any was run: by the spread of single pairs (0.45 dB)
-        about 1 correct numerics change in 100 flips the mean."""
+        about 1 correct numerics change in 100 flips the mean.
+
+        The twelve trainings are independent and Python-bound, so they run on
+        worker processes, one per usable CPU, each with one BLAS thread, and
+        are gathered in job order (the thread count moves no bit).  The workers
+        are spawned: forking a process whose BLAS threads are running warns,
+        and the warning filter turns that into a failure."""
         quality_factors = (10, 20, 30, 40)
         seed_pairs = ((5, 6), (7, 8), (9, 10))
-        train_imgs = smooth_patches(120, 16, np.random.default_rng(10))
         test_imgs = smooth_patches(40, 16, np.random.default_rng(3))
-        degraded_sets = [
-            np.stack([apply_jpeg_sim(x, qf) for x in test_imgs]) for qf in quality_factors
+        degraded_means = [
+            jpeg_mean_psnr(test_imgs, [apply_jpeg_sim(x, qf) for x in test_imgs])
+            for qf in quality_factors
         ]
-
-        def mean_psnr(images):
-            return float(np.mean([psnr(np.clip(y, 0, 1), x) for x, y in zip(test_imgs, images)]))
-
-        degraded_means = [mean_psnr(d) for d in degraded_sets]
-        restored_rows = []
-        for build_seed, train_seed in seed_pairs:
-            row = []
-            for qf, degraded in zip(quality_factors, degraded_sets):
-                model = build(IraeConfig(flow_steps=2, levels=2, hidden_width=16, seed=build_seed))
-                spec = DegradationSpec(kind="jpeg", quality_factor=qf)
-                model, _ = train(
-                    model, train_imgs, spec, epochs_max=20, batch_size=4, seed=train_seed
-                )
-                with no_grad():
-                    row.append(mean_psnr(model.forward(degraded).data))
-            restored_rows.append(row)
+        jobs = [(bs, ts, qf) for bs, ts in seed_pairs for qf in quality_factors]
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")  # read by each worker's numpy as it loads
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(min(len(jobs), cpus), mp_context=context) as pool:
+            psnrs = list(pool.map(criterion5_restored_psnr, *zip(*jobs)))
+        n_qf = len(quality_factors)
+        restored_rows = [psnrs[i : i + n_qf] for i in range(0, len(psnrs), n_qf)]
         restored_means = np.mean(restored_rows, axis=0).tolist()
         deg_ok = all(a <= b for a, b in zip(degraded_means, degraded_means[1:]))
         res_ok = all(a <= b for a, b in zip(restored_means, restored_means[1:]))

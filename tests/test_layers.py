@@ -529,9 +529,10 @@ class TestAffineCoupling:
         ids=["parameters-frozen", "x-and-first-conv-frozen"],
     )
     def test_frozen_leaves_bitwise_equal_to_generic_ops(self, dtype, frozen, h1_grad, monkeypatch):
-        """Whether the first hidden activation needs grad through x or not, the
-        forward drops its array, and the gradients, whose conv rules read the
-        rebuilt one, are bitwise the generic composition's."""
+        """When the first hidden activation needs grad through x, it has a record
+        and the forward drops its array; with x and the first conv frozen it has
+        none and keeps it.  Either way the gradients, whose conv rules read the
+        rebuilt or the kept array, are bitwise the generic composition's."""
         rng = np.random.default_rng(25)
         layer = AffineCoupling(4, 32, rng=rng, dtype=dtype)
         x = Tensor(rng.standard_normal((2, 4, 8, 8)).astype(dtype), requires_grad=True)
@@ -553,8 +554,8 @@ class TestAffineCoupling:
         for forward in (layer.forward, lambda t: coupling_by_generic_ops(layer, t)):
             y = forward(x)
             if not results:  # the layer's forward
-                flag = ", requires_grad=True" if h1_grad else ""
-                assert [repr(c) for c in convs if c.data is None] == [f"Tensor(data dropped{flag})"]
+                dropped = ["Tensor(data dropped, requires_grad=True)"] if h1_grad else []
+                assert [repr(c) for c in convs if c._data is None] == dropped
             backward(sum_all(mul(y, projection)))
             results.append([leaf.grad for leaf in leaves.values()])
             for leaf in leaves.values():

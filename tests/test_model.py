@@ -12,11 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import irae.model as model_module
-from irae.autodiff import Tensor, backward, finite_diff_grad, no_grad, sum_all
+from irae.autodiff import Tensor, backward, finite_diff_grad, mul, no_grad, sum_all
 from irae.layers import SingularWeightError, squeeze_array
 from irae.model import (
     _HEADER,
     CheckpointError,
+    _FlowStep,
     IraeConfig,
     build,
     load_checkpoint,
@@ -246,6 +247,112 @@ class TestForwardInverse:
         model.parameters()[0].data[...] += 1.0  # an in-place update reaches the replica
         with no_grad():
             assert np.array_equal(twin.forward(y).data, model.forward(y).data)
+
+
+def random_step(dtype, hidden=8, channels=4, seed=60):
+    """A flow step with random parameters and an initialized ActNorm."""
+    rng = np.random.default_rng(seed)
+    step = _FlowStep(channels, hidden, rng, dtype)
+    step.norm.scale.data[...] = rng.uniform(0.8, 1.2, channels)
+    step.norm.bias.data[...] = 0.1 * rng.standard_normal(channels)
+    step.norm.initialized = True
+    for p in step.coupling.parameters():
+        p.data[...] = 0.3 * rng.standard_normal(p.shape)
+    return step
+
+
+def tape_tensors(y):
+    """Every tensor reachable from y through the tape, leaves included."""
+    seen, stack = {}, [y]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+class TestFlowStepTape:
+    """A flow step drops its ActNorm output a and its 1x1 output m once read,
+    and its coupling drops the x_a view of m and the net's first hidden
+    activation h1: the tape keeps the step input, h, the net output and the
+    step output, and backward rebuilds the rest, bitwise."""
+
+    def test_forward_holds_two_channel_activations_fewer(self):
+        """C=4, h=32: the step holds h (32 channels), the net output (4) and the
+        step output (4).  Keeping a and m too would hold 48."""
+        step = random_step(np.float64, hidden=32)
+        x = Tensor(np.random.default_rng(61).standard_normal((2, 4, 64, 64)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = step.forward(x)
+            held = (tracemalloc.get_traced_memory()[0] - before) / (x.data.nbytes // 4)
+        finally:
+            tracemalloc.stop()
+        assert y.requires_grad
+        assert held < 44, f"{held:.2f} channels held"
+
+    def test_dropped_tensors_report_metadata_without_a_rebuild(self):
+        step = random_step(np.float32)
+        x = Tensor(np.random.default_rng(62).standard_normal((2, 4, 16, 16)).astype(np.float32),
+                   requires_grad=True)
+        tensors = tape_tensors(step.forward(x))
+        tracemalloc.start()
+        try:
+            for t in tensors:  # any rebuild allocates 8 KiB or more: a or m, or both for x_a
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                t.shape, t.ndim, t.size, t.dtype, repr(t)
+                assert tracemalloc.get_traced_memory()[1] - before < 2048
+        finally:
+            tracemalloc.stop()
+        dropped = [t for t in tensors if repr(t).startswith("Tensor(data dropped")]
+        assert len(dropped) == 4  # a, m, x_a and h1, still dropped
+        assert all(t._data is None and t.requires_grad for t in dropped)
+        for t in dropped:
+            meta = (t.shape, t.ndim, t.size, t.dtype)
+            data = t.data  # rebuilt
+            assert meta == (data.shape, data.ndim, data.size, data.dtype)
+            assert data.shape[:1] == (2,) and data.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("frozen", ["nothing", "actnorm-and-input", "parameters"])
+    @pytest.mark.parametrize("target", ["step", "model"])
+    def test_gradients_bitwise_equal_without_drops(self, target, frozen, dtype, monkeypatch):
+        """The same layers with Tensor.drop a no-op give the same output and
+        leaf gradients, bits and all; with ActNorm frozen and an input that
+        needs no grad, a has no record and keeps its array."""
+        rng = np.random.default_rng(63)
+        if target == "step":
+            net, shape = random_step(dtype), (2, 4, 8, 8)
+            norms = [net.norm]
+        else:
+            net = randomize_parameters(build(tiny_config(
+                flow_steps=2, levels=2, hidden_width=8, precision=np.dtype(dtype).name)), rng)
+            shape, norms = (2, 1, 8, 8), [step.norm for step in net._steps()]
+        x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=frozen != "actnorm-and-input")
+        leaves = [x] + net.parameters()
+        if frozen == "actnorm-and-input":
+            for norm in norms:
+                norm.scale.requires_grad = norm.bias.requires_grad = False
+        elif frozen == "parameters":
+            for p in net.parameters():
+                p.requires_grad = False
+        leaves = [t for t in leaves if t.requires_grad]
+        projection = Tensor(rng.standard_normal(shape).astype(dtype))
+        results = []
+        for drops in (True, False):
+            if not drops:
+                monkeypatch.setattr(Tensor, "drop", lambda t: None, raising=False)
+            y = net.forward(x)
+            backward(sum_all(mul(y, projection)))
+            results.append([y.data] + [leaf.grad for leaf in leaves])
+            for leaf in leaves:
+                leaf.grad = None
+        for got, want in zip(*results):
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
 
 
 class TestParamCount:

@@ -468,9 +468,10 @@ class TestShardedStep:
     def test_desk_shard_step_peak_memory(self):
         """One shard step at the desk config (K=4 L=2 h=32, 16 images of
         16x16), on a new thread as training's shards run: the tape and the
-        backward's window blocks peak below 5x the parameter bytes.  A whole
-        im2col of each 32 -> 32 conv's output gradient took it to 6.4x, and
-        keeping each coupling's first hidden activation on the tape to 5.5x."""
+        backward's window blocks peak below 3.85x the parameter bytes (3.49x).
+        A whole im2col of each 32 -> 32 conv's output gradient took it to 6.4x,
+        keeping each coupling's first hidden activation on the tape to 5.5x, and
+        keeping each flow step's ActNorm and 1x1 outputs to 4.20x."""
         config = IraeConfig(flow_steps=4, levels=2, hidden_width=32, seed=0)
         model = randomize_parameters(build(config), np.random.default_rng(47))
         rng = np.random.default_rng(48)
@@ -491,7 +492,7 @@ class TestShardedStep:
         thread.join(timeout=60)
         assert not thread.is_alive() and result["grads"] is not None
         ratio = result["peak"] / sum(p.data.nbytes for p in model.parameters())
-        assert ratio < 5, f"peak {ratio:.2f}x the parameters"
+        assert ratio < 3.85, f"peak {ratio:.2f}x the parameters"
 
     def test_more_threads_than_cores_with_fast_switching_lose_no_update(self):
         """Six shards on six threads, switching every microsecond: a gradient
