@@ -54,7 +54,7 @@ _BLOCK_BYTES, _BLOCK_MACS = 2**19, 2**20  # see _correlate
 class _GradMode(threading.local):
     enabled = True  # per thread: every thread starts in grad mode
 
-    def __bool__(self):
+    def __bool__(self):  # for the benchmark's tracer and tests; ops read enabled
         return self.enabled
 
 
@@ -371,17 +371,15 @@ def _im2col(ap, k):
 
 
 class _Scratch(threading.local):
-    """Per thread: the buffer conv2d_same copies window blocks and tap planes into,
-    kept between no-grad calls.  Freed after each call, blocks of a few hundred KiB
-    keep glibc's heap-trim threshold low, and inference faults the heap top in again
-    at every flow step.  Grad mode takes a new one per call: kept, it adds to the tape's peak."""
+    """Per thread: the buffer conv2d_same copies window blocks and tap planes into, kept
+    between calls, grad mode or not, and grown when a call needs more.  Freed after each
+    call, blocks of a few hundred KiB keep glibc's heap-trim threshold low and each flow
+    step faults the heap top in again.  A take's view lives until its conv returns, so a
+    rule reads its tensors' ``.data``, which may rebuild a dropped array by a conv, first."""
 
     buf = np.empty(0, np.uint8)
 
     def take(self, size, dtype):
-        if _grad_enabled:
-            self.buf = _Scratch.buf
-            return np.empty(size, dtype)
         nbytes = size * np.dtype(dtype).itemsize
         if self.buf.nbytes < nbytes:
             self.buf = None  # freed before its successor is allocated

@@ -282,6 +282,7 @@ def cmd_verify(args):
     _at_least_one(args, "trials")
     size = _at_least_one(args, "size")
     options = _apply_overrides(IraeConfig(), args)
+    options.validate()  # the trials' seed, with a checkpoint too
     if args.checkpoint:
         for name in ("flow_steps", "levels", "hidden_width", "in_channels"):
             if getattr(args, name) is not None:

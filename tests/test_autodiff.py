@@ -37,6 +37,7 @@ from irae.autodiff import (
 )
 from irae.autodiff import _BLOCK_BYTES, _correlate, _grad_enabled
 from irae.layers import ActNorm, InvertibleConv1x1, squeeze, unsqueeze
+from memtools import peak_of
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -560,22 +561,13 @@ def test_conv2d_peak_memory_holds_one_block_of_its_im2col():
     rng = np.random.default_rng(45)
     x, w, b = (Tensor(rng.standard_normal(s).astype(np.float32))
                for s in [(2, 29, 32, 32), (29, 29, 3, 3), (29,)])
-    result = {}
 
     def run():
         with no_grad():
-            tracemalloc.start()
-            try:
-                result["out"] = conv2d_same(x, w, b, tanh=True).data
-                result["peak"] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return conv2d_same(x, w, b, tanh=True).data
 
-    thread = threading.Thread(target=run)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive()
-    ratio = result["peak"] / result["out"].nbytes
+    out, peak = peak_of(run, timeout=60)
+    ratio = peak / out.nbytes
     assert ratio < 6, f"peak {ratio:.1f}x the output"
 
 
@@ -594,21 +586,8 @@ def test_conv2d_backward_peak_memory_holds_one_block_of_its_window():
     b = Tensor(np.zeros(64, np.float32), requires_grad=True)
     y = conv2d_same(x, w, b, tanh=True)
     y.grad = conv_result(64)
-    result = {}
-
-    def run():
-        tracemalloc.start()
-        try:
-            y._backward()
-            result["peak"] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive()
-    ratio = result["peak"] / y.data.nbytes
+    _, peak = peak_of(y._backward, timeout=60)
+    ratio = peak / y.data.nbytes
     assert ratio < 7, f"peak {ratio:.1f}x the output"
 
 

@@ -22,6 +22,7 @@ from irae.model import (
 )
 from irae.metrics import psnr, ssim
 from irae.pnm import load_pnm, save_pnm
+from memtools import peak_of
 from synthimages import smooth_patches
 
 
@@ -40,26 +41,6 @@ def rgb_checkpoint(tmp_path_factory):
     return path
 
 
-def traced_peak(argv):
-    """(exit code, tracemalloc peak) of one CLI run, on a new thread: the
-    conv scratch buffer a thread keeps starts empty there, as in a new process."""
-    result = {}
-
-    def run():
-        tracemalloc.start()
-        try:
-            result["code"] = main(argv)
-            result["peak"] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    thread.join(timeout=300)
-    assert not thread.is_alive()
-    return result["code"], result["peak"]
-
-
 def test_restore_peak_memory_near_file_size(rgb_checkpoint, tmp_path, capsys):
     """The loaded parameters are held once, and a batch of two 64x64 RGB
     images adds less than half the model: each conv holds one block of
@@ -70,8 +51,8 @@ def test_restore_peak_memory_near_file_size(rgb_checkpoint, tmp_path, capsys):
     for i in range(2):
         save_pnm(inputs / f"img{i}.ppm", rng.uniform(0.0, 1.0, (3, 64, 64)))
     size = rgb_checkpoint.stat().st_size
-    code, peak = traced_peak(["restore", "--checkpoint", str(rgb_checkpoint),
-                              "--input", str(inputs), "--output", str(out)])
+    code, peak = peak_of(lambda: main(["restore", "--checkpoint", str(rgb_checkpoint),
+                                       "--input", str(inputs), "--output", str(out)]))
     assert code == 0 and "restored 2 images" in capsys.readouterr().out
     assert peak <= 1.5 * size, f"peak {peak / size:.2f}x the file size"
 
@@ -199,12 +180,23 @@ class TestVerifyCommand:
         assert code == 0
         assert "float64" in out and "bound 1e-08" in out
 
+    @pytest.mark.parametrize("seed", ["-1", "-2", str(2**64)])
+    def test_checkpoint_seed_outside_64_bits_refused(self, tmp_path, capsys, seed):
+        """The trials draw from the seed whether or not a checkpoint gives the model."""
+        ckpt = tmp_path / "m.ckpt"
+        model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4))
+        save_checkpoint(randomize_parameters(model, np.random.default_rng(0)), ckpt)
+        assert main(["verify", "--checkpoint", str(ckpt), "--trials", "2", "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert f"invalid config: seed must fit in 64 bits, got {seed}" in captured.err
+        assert captured.out == ""
+
     def test_checkpoint_peak_memory_near_file_size(self, rgb_checkpoint, capsys):
         """The loaded parameters are held once; a batch of 32x32 trials adds
         less than the model."""
         size = rgb_checkpoint.stat().st_size
-        code, peak = traced_peak(["verify", "--checkpoint", str(rgb_checkpoint), "--trials", "4",
-                                  "--size", "32"])
+        code, peak = peak_of(lambda: main(["verify", "--checkpoint", str(rgb_checkpoint),
+                                           "--trials", "4", "--size", "32"]))
         assert code == 0 and "PASS" in capsys.readouterr().out
         assert peak <= 1.3 * size, f"peak {peak / size:.2f}x the file size"
 

@@ -1,6 +1,5 @@
 """Invertible-layer checks: round trips, permutation structure, gradients."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -37,6 +36,7 @@ from irae.layers import (
     unsqueeze,
     unsqueeze_array,
 )
+from memtools import held_by
 
 SIGMOID_OF_2 = 1.0 / (1.0 + np.exp(-2.0))  # 0.8807970779778823
 
@@ -396,18 +396,14 @@ def coupling_by_generic_ops(layer, x):
 
 def channels_held_by_forward(hidden):
     """Bytes a grad-mode AffineCoupling(4, hidden) forward leaves allocated, in
-    channels of its [2, 4, 64, 64] float64 input."""
+    channels of its [2, 4, 64, 64] float64 input.  The conv scratch buffer is
+    bounded apart, at one 2-channel window copy, 18 channels (``held_by``)."""
     layer = AffineCoupling(4, hidden, rng=np.random.default_rng(14), dtype=np.float64)
     x = Tensor(np.random.default_rng(15).standard_normal((2, 4, 64, 64)), requires_grad=True)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        y = layer.forward(x)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    channel = x.data.nbytes // 4
+    y, held = held_by(lambda: layer.forward(x), max_scratch=18 * channel)
     assert y.requires_grad
-    return held / (x.data.nbytes // 4)
+    return held / channel
 
 
 class TestAffineCoupling:

@@ -26,6 +26,7 @@ from irae.model import (
     save_checkpoint,
 )
 from irae.train import l1_loss
+from memtools import held_by
 
 
 def tiny_config(**kw):
@@ -283,13 +284,9 @@ class TestFlowStepTape:
         step output (4).  Keeping a and m too would hold 48."""
         step = random_step(np.float64, hidden=32)
         x = Tensor(np.random.default_rng(61).standard_normal((2, 4, 64, 64)), requires_grad=True)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            y = step.forward(x)
-            held = (tracemalloc.get_traced_memory()[0] - before) / (x.data.nbytes // 4)
-        finally:
-            tracemalloc.stop()
+        channel = x.data.nbytes // 4
+        y, held = held_by(lambda: step.forward(x), max_scratch=18 * channel)
+        held /= channel
         assert y.requires_grad
         assert held < 44, f"{held:.2f} channels held"
 

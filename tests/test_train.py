@@ -3,7 +3,6 @@
 import math
 import sys
 import threading
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
@@ -12,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import irae.autodiff as autodiff
 import irae.train as train_module
-from irae.autodiff import Tensor, backward, finite_diff_grad, mul, no_grad, sum_all
+from irae.autodiff import _BLOCK_BYTES, Tensor, backward, finite_diff_grad, mul, no_grad, sum_all
 from irae.degrade import DegradationSpec
 from irae.metrics import psnr
 from irae.model import IraeConfig, build, images_per_batch, randomize_parameters
@@ -27,6 +27,7 @@ from irae.train import (
     run_schedule,
     train,
 )
+from memtools import on_new_thread, peak_of
 from synthimages import smooth_patches
 from test_model import make_identity, tiny_config
 
@@ -398,6 +399,16 @@ def record_shard_threads(monkeypatch, workers):
     return calls
 
 
+def desk_shard_step():
+    """The desk config (K=4 L=2 h=32) and one shard step of it on 16 images of 16x16."""
+    config = IraeConfig(flow_steps=4, levels=2, hidden_width=32, seed=0)
+    model = randomize_parameters(build(config), np.random.default_rng(47))
+    rng = np.random.default_rng(48)
+    x = rng.uniform(0.0, 1.0, (16, 1, 16, 16)).astype(np.float32)
+    y = (x + 0.1 * rng.standard_normal(x.shape)).astype(np.float32)
+    return model, lambda: train_module._shard_loss_grads(model, y, x, 16)
+
+
 class TestShardedStep:
     """A batch larger than the pixel budget is split into shards, the first
     run on the model and each later one on its own model replica, with
@@ -472,27 +483,28 @@ class TestShardedStep:
         A whole im2col of each 32 -> 32 conv's output gradient took it to 6.4x,
         keeping each coupling's first hidden activation on the tape to 5.5x, and
         keeping each flow step's ActNorm and 1x1 outputs to 4.20x."""
-        config = IraeConfig(flow_steps=4, levels=2, hidden_width=32, seed=0)
-        model = randomize_parameters(build(config), np.random.default_rng(47))
-        rng = np.random.default_rng(48)
-        x = rng.uniform(0.0, 1.0, (16, 1, 16, 16)).astype(np.float32)
-        y = (x + 0.1 * rng.standard_normal(x.shape)).astype(np.float32)
-        result = {}
+        model, step = desk_shard_step()
+        (_, grads), peak = peak_of(step, timeout=60)
+        assert grads is not None
+        ratio = peak / sum(p.data.nbytes for p in model.parameters())
+        assert ratio < 3.85, f"peak {ratio:.2f}x the parameters"
+
+    def test_shard_thread_keeps_one_conv_scratch_buffer(self):
+        """Grad mode or not, a thread's conv blocks come from the buffer it
+        keeps: after a desk shard step it holds at most _BLOCK_BYTES, and a
+        second step on that thread takes no new one and gives the same bits."""
+        _, step = desk_shard_step()
 
         def run():
-            tracemalloc.start()
-            try:
-                result["grads"] = train_module._shard_loss_grads(model, y, x, 16)[1]
-                result["peak"] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            first = step()
+            buf = autodiff._scratch.buf
+            return first, buf, step(), autodiff._scratch.buf
 
-        thread = threading.Thread(target=run)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive() and result["grads"] is not None
-        ratio = result["peak"] / sum(p.data.nbytes for p in model.parameters())
-        assert ratio < 3.85, f"peak {ratio:.2f}x the parameters"
+        (loss, grads), buf, (loss_again, grads_again), kept = on_new_thread(run, timeout=60)
+        assert 0 < buf.nbytes <= _BLOCK_BYTES, f"scratch buffer holds {buf.nbytes} bytes"
+        assert kept is buf
+        assert loss_again == loss
+        assert [g.tobytes() for g in grads_again] == [g.tobytes() for g in grads]
 
     def test_more_threads_than_cores_with_fast_switching_lose_no_update(self):
         """Six shards on six threads, switching every microsecond: a gradient
