@@ -78,7 +78,7 @@ def _parse_value(kind, raw):
 
 
 def parse_config_file(path):
-    """Read a key=value file into a RunConfig; unknown or repeated keys are errors."""
+    """Read a key=value file into a RunConfig; a bad key, value or choice is an error at path:line."""
     cfg = RunConfig()
     seen = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -96,6 +96,8 @@ def parse_config_file(path):
         seen[key] = lineno
         try:
             value = _parse_value(type(_RUN_DEFAULTS[key]), raw.strip())
+            if key in _CHOICES and value not in _CHOICES[key]:
+                raise ValueError(f"{value!r} is not one of {', '.join(_CHOICES[key])}")
         except ValueError as e:
             raise ValueError(f"{path}:{lineno}: config key {key}: {e}") from None
         setattr(cfg, key, value)
@@ -279,6 +281,8 @@ def _recast_model(model, precision):
 
 
 def cmd_verify(args):
+    """Round-trips --trials inputs, images_per_batch(size, size) per forward; OpenBLAS picks its
+    kernels by GEMM column count, so the max error's last digits depend on that batch split."""
     _at_least_one(args, "trials")
     size = _at_least_one(args, "size")
     options = _apply_overrides(IraeConfig(), args)

@@ -169,30 +169,28 @@ class IraeModel:
         activations it sees (the decoder thereby sees the encoder's output).
         """
         x = self._as_input_tensor(y)
-        for level in self.encoder_levels:
-            x = squeeze(x)
-            for step in level:
-                x = step.forward(x)
-        for level in self.decoder_levels:
-            for step in level:
-                x = step.forward(x)
-            x = unsqueeze(x)
+        for stage, _ in self._stages():
+            x = stage(x)
         return x
 
     def inverse(self, xhat):
-        """Exact algebraic inverse of forward (decoder first, then encoder)."""
+        """Exact algebraic inverse of forward: its stages' inverses in reverse order."""
         data = xhat.data if isinstance(xhat, Tensor) else np.asarray(xhat)
         self._check_input(data.shape)
         data = data.astype(self.config.dtype, copy=False)
-        for level in reversed(self.decoder_levels):
-            data = squeeze_array(data)
-            for step in reversed(level):
-                data = step.inverse(data)
-        for level in reversed(self.encoder_levels):
-            for step in reversed(level):
-                data = step.inverse(data)
-            data = unsqueeze_array(data)
+        for _, stage in reversed(list(self._stages())):
+            data = stage(data)
         return Tensor(data)
+
+    def _stages(self):
+        """Each stage's (forward, inverse) in forward order: an encoder level's squeeze, then its steps;
+        a decoder level's steps, then its unsqueeze.  Names resolve as it runs, so a patched squeeze applies."""
+        for level in self.encoder_levels:
+            yield squeeze, unsqueeze_array
+            yield from ((step.forward, step.inverse) for step in level)
+        for level in self.decoder_levels:
+            yield from ((step.forward, step.inverse) for step in level)
+            yield unsqueeze, squeeze_array
 
     # -- parameter access ----------------------------------------------------
 
@@ -204,9 +202,6 @@ class IraeModel:
     def parameters(self):
         """All learnable tensors in the fixed (checkpoint) traversal order."""
         return [p for step in self._steps() for p in step.parameters()]
-
-    def param_count(self):
-        return sum(p.size for p in self.parameters())
 
     def replica(self):
         """A model over this one's parameter arrays, shared without a copy,
@@ -368,9 +363,13 @@ def load_checkpoint(path):
         if len(header) < _HEADER.size:
             raise CheckpointError(f"checkpoint truncated: {len(header)} bytes is too short")
         (_magic, version, flow_steps, levels, hidden_width, in_channels, precision_code,
-         initialized, _pad, seed, count) = _HEADER.unpack(header)
+         initialized, pad, seed, count) = _HEADER.unpack(header)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
+        if initialized > 1:
+            raise CheckpointError(f"ActNorm-initialized flag {initialized}, expected 0 or 1")
+        if pad:
+            raise CheckpointError(f"header padding is {pad}, expected 0")
         if precision_code not in _CODE_PRECISIONS:
             raise CheckpointError(f"unknown precision code {precision_code}")
         config = IraeConfig(

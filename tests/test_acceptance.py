@@ -372,7 +372,7 @@ class TestCriterion9ParameterCounter:
         # hand enumeration for K=1, L=1, C=1, h=8 (channels 4 after squeeze)
         hand = 2 * ((4 + 4) + 16 + (8 * 2 * 9 + 8) + (8 * 8 * 9 + 8) + (4 * 8 * 9 + 4))
         model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=8, in_channels=1))
-        hand_ok = model.param_count() == hand == param_count_formula(1, 1, 1, 8)
+        hand_ok = sum(p.size for p in model.parameters()) == hand == param_count_formula(1, 1, 1, 8)
 
         # search the hidden width bringing K=16, L=2, C=3 closest to 1.33e6
         best_h, best_count = None, None

@@ -151,7 +151,7 @@ class TestConv2d:
     def test_identity_kernel(self):
         x = Tensor(np.arange(2 * 3 * 4 * 4, dtype=np.float64).reshape(2, 3, 4, 4))
         w = Tensor(np.eye(3).reshape(3, 3, 1, 1))
-        assert np.array_equal(conv2d_same(x, w).data, x.data)
+        assert np.array_equal(conv2d_same(x, w, Tensor(np.zeros(3))).data, x.data)
 
     def test_zero_weights_constant_bias(self):
         x = Tensor(np.random.default_rng(1).standard_normal((1, 2, 3, 3)))
@@ -183,16 +183,18 @@ class TestConv2d:
         x = Tensor(rng.standard_normal((1, 2, 4, 4)))
         w1 = rng.standard_normal((3, 2, 3, 3))
         w2 = rng.standard_normal((3, 2, 3, 3))
+        b = Tensor(np.zeros(3))
         alpha, beta = 0.3, -1.7
-        combined = conv2d_same(x, Tensor(alpha * w1 + beta * w2)).data
-        separate = alpha * conv2d_same(x, Tensor(w1)).data + beta * conv2d_same(x, Tensor(w2)).data
+        combined = conv2d_same(x, Tensor(alpha * w1 + beta * w2), b).data
+        separate = (alpha * conv2d_same(x, Tensor(w1), b).data
+                    + beta * conv2d_same(x, Tensor(w2), b).data)
         np.testing.assert_allclose(combined, separate, rtol=0, atol=1e-10)
 
     def test_channel_mismatch_rejected(self):
         x = Tensor(np.zeros((1, 2, 4, 4)))
         w = Tensor(np.zeros((1, 3, 3, 3)))
         with pytest.raises(ValueError, match="channels"):
-            conv2d_same(x, w)
+            conv2d_same(x, w, Tensor(np.zeros(1)))
 
 
 class TestConv2dTanh:
@@ -221,8 +223,9 @@ class TestConv2dTanh:
     def test_one_tape_record(self):
         x = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
         w = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
-        y = conv2d_same(x, w, tanh=True)
-        assert y._parents == (x, w)
+        b = Tensor(np.zeros(1), requires_grad=True)
+        y = conv2d_same(x, w, b, tanh=True)
+        assert y._parents == (x, w, b)
 
 
 @st.composite
@@ -310,7 +313,7 @@ def conv_result(rng, shape):
     memory its GEMM wrote."""
     n, c, h, wd = shape
     out = conv2d_same(Tensor(rng.standard_normal((n, 2, h, wd))),
-                      Tensor(rng.standard_normal((c, 2, 3, 3)))).data
+                      Tensor(rng.standard_normal((c, 2, 3, 3))), Tensor(np.zeros(c))).data
     assert out.transpose(1, 2, 3, 0).flags.c_contiguous
     return out
 

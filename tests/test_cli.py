@@ -109,6 +109,21 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=r"run\.cfg:2: config key flow_steps: .*'1\.5'"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("task=bogus", "'bogus' is not one of denoise, jpeg, inpaint"),
+         ("precision=float16", "'float16' is not one of float32, float64")],
+    )
+    def test_choice_outside_its_set_refused_before_any_image(self, tmp_path, capsys, line,
+                                                            message):
+        """A task or precision outside its choices is refused with the file and
+        line, as the flag is by argparse, before the dataset directory is read
+        (here it does not exist)."""
+        path = tmp_path / "run.cfg"
+        path.write_text(f"dataset_dir={tmp_path / 'missing'}\n{line}\n")
+        assert main(["train", "--config", str(path)]) == 1
+        assert f"run.cfg:2: config key {line.partition('=')[0]}: {message}" in capsys.readouterr().err
+
     def test_bool_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("blind=true\n")

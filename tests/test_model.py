@@ -79,7 +79,7 @@ class TestConfigAndBuild:
 
     def test_reference_config_builds(self):
         model = build(IraeConfig(flow_steps=16, levels=2, hidden_width=8, in_channels=1))
-        assert model.param_count() == param_count_formula(16, 2, 1, 8)
+        assert sum(p.size for p in model.parameters()) == param_count_formula(16, 2, 1, 8)
 
     def test_indivisible_input_rejected(self):
         model = build(tiny_config(levels=2))
@@ -196,6 +196,30 @@ class TestForwardInverse:
             out = model.forward(x)
         err = np.max(np.abs(model.inverse(out).data - x.astype(cfg.dtype)))
         assert err < {"float32": 1e-4, "float64": 1e-8}[precision]
+
+    @pytest.mark.parametrize("in_channels", [1, 3])
+    @pytest.mark.parametrize("levels", [1, 2])
+    @pytest.mark.parametrize("flow_steps", [1, 2])
+    def test_stage_walk(self, in_channels, levels, flow_steps):
+        """forward folds _stages() and inverse folds it reversed, bitwise; walking
+        back from the output, each stage's inverse recovers that stage's input."""
+        cfg = tiny_config(flow_steps=flow_steps, levels=levels, in_channels=in_channels)
+        rng = np.random.default_rng(100 * in_channels + 10 * levels + flow_steps)
+        model = randomize_parameters(build(cfg), rng)
+        stages = list(model._stages())
+        assert len(stages) == 2 * levels * (flow_steps + 1)
+        x = rng.uniform(0, 1, (2, in_channels, 8, 8))
+        inputs, y = [], Tensor(x)
+        with no_grad():
+            for stage, _ in stages:
+                inputs.append(y.data)
+                y = stage(y)
+            assert y.data.tobytes() == model.forward(x).data.tobytes()
+        back = y.data
+        for (_, stage), expected in zip(reversed(stages), reversed(inputs)):
+            back = stage(back)
+            np.testing.assert_allclose(back, expected, rtol=0, atol=1e-12)
+        assert back.tobytes() == model.inverse(y).data.tobytes()
 
     def test_injectivity_witness_on_random_pairs(self):
         model = build(tiny_config(flow_steps=2, levels=1, hidden_width=8, seed=8))
@@ -361,7 +385,7 @@ class TestParamCount:
         per_step = actnorm + conv1x1 + coupling
         expected = 2 * per_step  # one encoder step + one decoder step
         model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=8, in_channels=1))
-        assert model.param_count() == expected
+        assert sum(p.size for p in model.parameters()) == expected
         assert param_count_formula(1, 1, 1, 8) == expected
 
     def test_count_matches_actual_tensors(self):
@@ -370,21 +394,23 @@ class TestParamCount:
             IraeConfig(flow_steps=2, levels=1, hidden_width=7, in_channels=3),
         ):
             model = build(cfg)
-            assert model.param_count() == param_count_formula(
+            assert sum(p.size for p in model.parameters()) == param_count_formula(
                 cfg.flow_steps, cfg.levels, cfg.in_channels, cfg.hidden_width
             )
 
     def test_count_independent_of_input_size(self):
         model = build(tiny_config(levels=1))
-        before = model.param_count()
+        before = sum(p.size for p in model.parameters())
         rng = np.random.default_rng(17)
         model.forward(rng.uniform(0, 1, (1, 1, 4, 4)))
         model.forward(rng.uniform(0, 1, (1, 1, 8, 8)))
-        assert model.param_count() == before
+        assert sum(p.size for p in model.parameters()) == before
 
 
-# byte offsets of single fields in the "<4sIIIIIBBHQQ" header; the first three are u32
-OFFSETS = {"flow_steps": 8, "levels": 12, "hidden_width": 16, "precision_code": 24}
+# byte offsets of single fields in the "<4sIIIIIBBHQQ" header; the first three are u32,
+# the next two single bytes, and the padding two bytes
+OFFSETS = {"flow_steps": 8, "levels": 12, "hidden_width": 16, "precision_code": 24,
+           "initialized": 25, "padding": 26}
 
 
 # K=1 L=1 h=2, float32: 352 parameters behind the 44-byte header
@@ -413,7 +439,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        assert loaded.param_count() == model.param_count()
+        assert sum(p.size for p in loaded.parameters()) == sum(p.size for p in model.parameters())
         assert loaded.config == model.config
         assert loaded.actnorms_initialized
         for pa, pb in zip(model.parameters(), loaded.parameters()):
@@ -452,6 +478,27 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [
+            (OFFSETS["initialized"], 2, "flag 2,"),
+            (OFFSETS["initialized"], 255, "flag 255,"),
+            (OFFSETS["padding"], 7, "padding is 7"),
+            (OFFSETS["padding"] + 1, 1, "padding is 256"),
+        ],
+    )
+    def test_stray_flag_or_padding_byte_refused(self, tiny_checkpoint, tmp_path, offset,
+                                               value, message):
+        """save_checkpoint writes the ActNorm flag as 0 or 1 and the padding as
+        zeros; any other byte there marks a corrupted header."""
+        path, _ = tiny_checkpoint
+        blob = bytearray(path.read_bytes())
+        blob[offset] = value
+        corrupt = tmp_path / "corrupt.ckpt"
+        corrupt.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(corrupt)
 
     @pytest.mark.parametrize(
         "field, value", [("levels", 200), ("flow_steps", 10**6), ("hidden_width", 10**5)]
@@ -615,7 +662,7 @@ class TestCheckpoint:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert loaded.param_count() == model.param_count()
+        assert sum(p.size for p in loaded.parameters()) == sum(p.size for p in model.parameters())
         assert peak <= 1.15 * size, f"peak {peak / size:.2f}x the file size"
 
     def test_build_draw_order_pinned(self, tmp_path):
