@@ -105,16 +105,10 @@ def parse_config_file(path):
 
 
 def _degradation_spec(cfg, image_size):
-    if cfg.task == "denoise":
-        kind = "blind_awgn" if cfg.blind else "awgn"
-    elif cfg.task == "jpeg":
-        kind = "jpeg"
-    elif cfg.task == "inpaint":
-        kind = "inpaint"
-    else:
-        raise ValueError(f"unknown task {cfg.task!r}; choose from {TASKS}")
+    """The task's spec; the task itself is checked against TASKS where it is read."""
+    denoise = "blind_awgn" if cfg.blind else "awgn"
     return DegradationSpec(
-        kind=kind,
+        kind=denoise if cfg.task == "denoise" else cfg.task,
         sigma=cfg.sigma,
         sigma_range=(cfg.sigma_lo, cfg.sigma_hi),
         quality_factor=cfg.quality_factor,
@@ -133,17 +127,26 @@ def _list_images(directory):
     return paths
 
 
-def _load_dataset(directory, in_channels):
+def _checked_shapes(model, paths):
+    """Each file's (C,H,W) from its header, each checked against the model
+    before any pixel is read; a refusal names the file."""
+    shapes = [pnm_shape(p) for p in paths]
+    for p, shape in zip(paths, shapes):
+        try:
+            model._check_input((1, *shape))
+        except ValueError as e:
+            raise ValueError(f"{p}: {e}") from None
+    return shapes
+
+
+def _load_dataset(directory, model):
+    """The directory's images, all of one shape that the model takes."""
     paths = _list_images(directory)
-    images = []
-    for p in paths:
-        img = load_pnm(p)
-        if img.shape[0] != in_channels:
-            raise ValueError(f"{p}: has {img.shape[0]} channels, config says {in_channels}")
-        if images and img.shape != images[0].shape:
-            raise ValueError(f"{p}: shape {img.shape} differs from {images[0].shape}")
-        images.append(img)
-    return paths, images
+    shapes = _checked_shapes(model, paths)
+    for p, shape in zip(paths, shapes):
+        if shape != shapes[0]:
+            raise ValueError(f"{p}: shape {shape} differs from {shapes[0]}")
+    return [load_pnm(p) for p in paths]
 
 
 def _at_least_one(args, name):
@@ -163,12 +166,11 @@ def cmd_train(args):
     cfg = _apply_overrides(parse_config_file(args.config) if args.config else RunConfig(), args)
     if not cfg.dataset_dir:
         raise ValueError("train: dataset_dir is required (config key or --dataset-dir)")
-    _, images = _load_dataset(cfg.dataset_dir, cfg.in_channels)
-    h, w = images[0].shape[1:]
-    spec = _degradation_spec(cfg, (h, w))
     model = build(_apply_overrides(IraeConfig(), cfg))
+    images = _load_dataset(cfg.dataset_dir, model)
+    spec = _degradation_spec(cfg, images[0].shape[1:])
     # refuse bad arguments before making directories, and make them before training
-    _check_inputs(images, spec, cfg.epochs_max, cfg.batch_size)
+    _check_inputs(model, images, spec, cfg.epochs_max, cfg.batch_size)
     out_dir = Path(cfg.output_dir)
     for d in (out_dir, Path(cfg.checkpoint).parent):
         d.mkdir(parents=True, exist_ok=True)
@@ -196,13 +198,8 @@ def _restore_batches(model, paths):
     """Runs of consecutive same-shape images, split to images_per_batch; shapes
     come from the file headers, so membership depends only on the file list.
     Every header is read once and checked against the model before any batch."""
-    shapes = [pnm_shape(p) for p in paths]
-    for p, shape in zip(paths, shapes):
-        try:
-            model._check_input((1, *shape))
-        except ValueError as e:
-            raise ValueError(f"{p}: {e}") from None
     batches = []
+    shapes = _checked_shapes(model, paths)
     for (_, h, w), run in groupby(zip(shapes, paths), key=lambda pair: pair[0]):
         run = [p for _, p in run]
         n = images_per_batch(h, w)

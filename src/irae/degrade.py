@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -66,6 +67,7 @@ class DegradationSpec:
     image_size: tuple = (32, 32)
 
     def validate(self):
+        """Each parameter's one rule; every degradation function checks its parameter here."""
         if self.kind not in KINDS:
             raise ValueError(f"unknown degradation kind {self.kind!r}; choose from {KINDS}")
         # written so that NaN fails each comparison
@@ -76,20 +78,20 @@ class DegradationSpec:
             raise ValueError(f"bad sigma_range {self.sigma_range}: need finite 0 <= lo <= hi")
         if not 1 <= self.quality_factor <= 100:
             raise ValueError(f"quality factor must be in 1..100, got {self.quality_factor}")
-        mh, mw = self.mask_size
-        h, w = self.image_size
-        if self.kind == "inpaint" and (mh < 1 or mw < 1):
+        if self.kind != "inpaint":
+            return
+        (mh, mw), (h, w) = self.mask_size, self.image_size
+        if not all(isinstance(n, Integral) for n in (mh, mw, h, w)):
+            raise ValueError(f"mask and image sizes must be integers, got {mh}x{mw} and {h}x{w}")
+        if mh < 1 or mw < 1:
             raise ValueError(f"mask size must be positive, got {mh}x{mw}")
-        if self.kind == "inpaint" and (mh > h // 2 or mw > w // 2):
-            raise ValueError(
-                f"mask {mh}x{mw} larger than the central region of a {h}x{w} image"
-            )
+        if mh > h // 2 or mw > w // 2:
+            raise ValueError(f"mask {mh}x{mw} larger than the central region of a {h}x{w} image")
 
 
 def apply_awgn(x, sigma, rng):
     """y = x + n with n ~ N(0, (sigma/255)^2) i.i.d.; A is the identity."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    DegradationSpec(sigma=sigma).validate()
     x = np.asarray(x, dtype=np.float64)
     if sigma == 0:
         return x.copy()
@@ -101,10 +103,8 @@ def apply_blind_awgn(x, sigma_range, rng):
 
     Returns (y, sigma_drawn) so a run can be replayed.
     """
-    lo, hi = sigma_range
-    if lo > hi:
-        raise ValueError(f"bad sigma_range {sigma_range}")
-    sigma = float(rng.uniform(lo, hi))
+    DegradationSpec(sigma_range=sigma_range).validate()
+    sigma = float(rng.uniform(*sigma_range))
     return apply_awgn(x, sigma, rng), sigma
 
 
@@ -115,9 +115,8 @@ def quant_table(quality_factor):
     clamp(round(base*scale/100), 1, 255) with round-half-up, so QF=50
     reproduces the base table exactly.
     """
+    DegradationSpec(quality_factor=quality_factor).validate()
     qf = int(quality_factor)
-    if not 1 <= qf <= 100:
-        raise ValueError(f"quality factor must be in 1..100, got {quality_factor}")
     scale = 5000.0 / qf if qf < 50 else 200.0 - 2.0 * qf
     return np.clip(np.floor((BASE_QUANT_TABLE * scale + 50.0) / 100.0), 1.0, 255.0)
 
@@ -152,12 +151,8 @@ def make_inpaint_mask(image_size, mask_size, rng):
     H/2 x W/2 window, restricted so the whole block stays inside the image;
     a mask larger than the central region is rejected.
     """
-    h, w = image_size
-    mh, mw = mask_size
-    if mh > h // 2 or mw > w // 2:
-        raise ValueError(f"mask {mh}x{mw} larger than the central region of {h}x{w}")
-    if mh < 1 or mw < 1:
-        raise ValueError(f"mask size must be positive, got {mh}x{mw}")
+    DegradationSpec(kind="inpaint", mask_size=mask_size, image_size=image_size).validate()
+    (h, w), (mh, mw) = image_size, mask_size
     r0, r1 = h // 4, min(3 * h // 4, h - mh + 1)
     c0, c1 = w // 4, min(3 * w // 4, w - mw + 1)
     r = int(rng.integers(r0, r1))
@@ -186,4 +181,4 @@ def degrade(x, spec, rng):
     if spec.kind == "inpaint":
         x = np.asarray(x)
         return apply_inpaint(x, make_inpaint_mask(x.shape[-2:], spec.mask_size, rng))
-    raise ValueError(f"unknown degradation kind {spec.kind!r}")
+    DegradationSpec(kind=spec.kind).validate()  # refuses the unknown kind in the spec's words

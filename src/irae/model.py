@@ -8,10 +8,8 @@ input shape, and the whole map has an exact algebraic inverse.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
-from stat import S_ISREG
 
 import numpy as np
 
@@ -26,6 +24,7 @@ from .layers import (
     unsqueeze,
     unsqueeze_array,
 )
+from .pnm import open_regular
 
 __all__ = [
     "IraeConfig",
@@ -76,15 +75,8 @@ class IraeConfig:
     seed: int = 0
 
     def validate(self):
-        problems = []
-        if self.flow_steps < 1:
-            problems.append(f"flow_steps must be >= 1, got {self.flow_steps}")
-        if self.levels < 1:
-            problems.append(f"levels must be >= 1, got {self.levels}")
-        if self.hidden_width < 1:
-            problems.append(f"hidden_width must be >= 1, got {self.hidden_width}")
-        if self.in_channels < 1:
-            problems.append(f"in_channels must be >= 1, got {self.in_channels}")
+        sizes = {name: getattr(self, name) for name in ("flow_steps", "levels", "hidden_width", "in_channels")}
+        problems = [f"{name} must be >= 1, got {value}" for name, value in sizes.items() if value < 1]
         if self.precision not in PRECISION_DTYPES:
             problems.append(f"precision must be one of {sorted(PRECISION_DTYPES)}, got {self.precision!r}")
         if not 0 <= self.seed < 2**64:
@@ -352,11 +344,13 @@ def save_checkpoint(model, path):
 def load_checkpoint(path):
     """Rebuild a model from a checkpoint; the file's config wins.
 
-    The header is checked before anything is allocated, and the payload
-    length comes from the size of the file, which must be a regular file.
-    Each parameter is read straight into the model's own array, so loading
-    holds the parameters once, with no second copy of the payload."""
-    with open(path, "rb") as f:
+    The file must be regular, which is checked before any read.  The header
+    is checked before anything is allocated, and the payload length comes
+    from the size of the file.  Each parameter is read straight into the
+    model's own array, so loading holds the parameters once, with no second
+    copy of the payload."""
+    f, st = open_regular(path, CheckpointError)
+    with f:
         header = f.read(_HEADER.size)
         if header[:4] != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad magic bytes {header[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
@@ -391,9 +385,6 @@ def load_checkpoint(path):
             flow_steps, levels, in_channels, hidden_width
         ):
             raise CheckpointError("parameter count does not match the stored config")
-        st = os.fstat(f.fileno())
-        if not S_ISREG(st.st_mode):
-            raise CheckpointError(f"{path} is not a regular file, so its size is unknown")
         wire = np.dtype(config.dtype).newbyteorder("<")
         payload = st.st_size - _HEADER.size
         expected = count * wire.itemsize

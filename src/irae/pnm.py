@@ -12,7 +12,9 @@ pixels are refused on save.
 
 from __future__ import annotations
 
+import os
 import re
+from stat import S_ISREG
 
 import numpy as np
 
@@ -24,9 +26,20 @@ _FIELD = rb"(?:\s|#[^\r\n]*[\r\n])*0*([0-9]{1,9})\s"
 _HEADER = re.compile(rb"P[56]" + _FIELD * 3)
 
 
+def open_regular(path, error=ValueError):
+    """(binary file object, its fstat) for path, or error naming it if not a regular file; the
+    open does not wait for a FIFO's writer, and nothing is read before the check."""
+    f = open(os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)), "rb")
+    st = os.fstat(f.fileno())
+    if not S_ISREG(st.st_mode):
+        f.close()
+        raise error(f"{path}: not a regular file")
+    return f, st
+
+
 def _header(path):
     """(file bytes, (C,H,W), maxval, offset of the pixel data past the header)."""
-    with open(path, "rb") as f:
+    with open_regular(path)[0] as f:
         blob = f.read()
     magic = blob[:2]
     if magic not in _MAGIC_CHANNELS:

@@ -219,8 +219,8 @@ def _loss_and_grads(model, y, x, shard, replicas, pool):
     return loss_val, [reduce(np.add, gs) for gs in zip(*(grads for _, grads in parts))]
 
 
-def _check_inputs(images, spec, epochs_max, batch_size):
-    """What train() refuses before it draws anything; returns the images as float64."""
+def _check_inputs(model, images, spec, epochs_max, batch_size):
+    """What train() refuses before it draws anything, the shape by the model's rule; returns float64 images."""
     if len(images) == 0:
         raise ValueError("train: dataset is empty")
     if len(images) == 1:  # the validation split takes at least one image
@@ -234,6 +234,7 @@ def _check_inputs(images, spec, epochs_max, batch_size):
             raise ValueError(f"train: image {i} contains non-finite values")
         if x.shape != images[0].shape:
             raise ValueError(f"train: image {i} has shape {x.shape}, image 0 {images[0].shape}")
+    model._check_input((len(images), *images[0].shape))
     replace(spec, image_size=images[0].shape[-2:]).validate()
     return images
 
@@ -242,8 +243,9 @@ def train(model, images, spec, epochs_max, batch_size=16, seed=0):
     """Minimize the L1 restoration loss; returns (model, history).
 
     images: list of (C,H,W) arrays of one shape, in [0,1]; a non-finite
-    pixel, an image of another shape, or a batch_size or epochs_max below
-    1, is refused before any corruption is drawn.  A 10% validation split
+    pixel, images of two shapes or of one the model cannot take, an invalid
+    spec, or a batch_size or epochs_max below 1, is refused before any
+    corruption is drawn.  A 10% validation split
     (at least one image) is held out, fixed by the seed, with its
     corruptions drawn once so per-epoch PSNR is comparable.  Training
     corruptions are redrawn every epoch for the stochastic kinds.  The
@@ -265,7 +267,7 @@ def train(model, images, spec, epochs_max, batch_size=16, seed=0):
     train() gives the same result inside no_grad.  No thread outlives the
     call.
     """
-    images = _check_inputs(images, spec, epochs_max, batch_size)
+    images = _check_inputs(model, images, spec, epochs_max, batch_size)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(images))
     n_val = max(1, len(images) // 10)

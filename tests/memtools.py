@@ -12,7 +12,9 @@ import irae.autodiff as autodiff
 
 
 def on_new_thread(fn, timeout=300):
-    """fn() run on a new thread; an exception it raises is raised here."""
+    """fn() run on a new thread; an exception it raises is raised here.  The
+    thread is a daemon, so a call that never returns fails its test after
+    timeout seconds without holding up the end of the test process."""
     result = {}
 
     def run():
@@ -21,7 +23,7 @@ def on_new_thread(fn, timeout=300):
         except BaseException as e:  # noqa: BLE001 - re-raised on the calling thread
             result["error"] = e
 
-    thread = threading.Thread(target=run)
+    thread = threading.Thread(target=run, daemon=True)
     thread.start()
     thread.join(timeout=timeout)
     assert not thread.is_alive(), f"still running after {timeout} s"

@@ -1,5 +1,6 @@
 """CLI behavior: config round trips, subcommands, end-to-end pipeline."""
 
+import os
 import threading
 import tracemalloc
 from dataclasses import fields
@@ -22,7 +23,7 @@ from irae.model import (
 )
 from irae.metrics import psnr, ssim
 from irae.pnm import load_pnm, save_pnm
-from memtools import peak_of
+from memtools import on_new_thread, peak_of
 from synthimages import smooth_patches
 
 
@@ -431,6 +432,62 @@ class TestErrorHandling:
         assert code == 1
         assert "mask size must be positive, got 0x4" in capsys.readouterr().err
         assert not ckpt.parent.exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, image, flags, message",
+        [
+            ("img001.pgm", np.full((1, 20, 20), 0.5), ["--levels", "3"],
+             "H and W must be divisible by 8, got 20x20"),
+            ("img001.ppm", np.full((3, 20, 20), 0.5), ["--levels", "1"],
+             "model expects 1 channels, got 3"),
+        ],
+        ids=["20x20-at-L3", "rgb-to-gray"],
+    )
+    def test_train_refuses_a_file_the_model_cannot_take_before_any_directory(
+        self, tmp_path, capsys, name, image, flags, message
+    ):
+        data = tmp_path / "data"
+        data.mkdir()
+        save_pnm(data / "img000.pgm", np.full((1, 24, 24), 0.5))
+        save_pnm(data / name, image)
+        ckpt, out = tmp_path / "ckpt" / "m.ckpt", tmp_path / "out"
+        code = main(
+            ["train", "--dataset-dir", str(data), "--flow-steps", "1", "--hidden-width", "4",
+             "--epochs-max", "1", "--checkpoint", str(ckpt), "--output-dir", str(out)] + flags
+        )
+        assert code == 1
+        assert f"error: {data / name}: {message}" in capsys.readouterr().err
+        assert not ckpt.parent.exists()
+        assert not out.exists()
+
+    def test_train_config_refused_before_any_image_is_read(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "bad.pgm").write_bytes(b"P5\n8 8\n")  # no maxval: a malformed header
+        ckpt, out = tmp_path / "ckpt" / "m.ckpt", tmp_path / "out"
+        code = main(
+            ["train", "--dataset-dir", str(data), "--flow-steps", "0", "--epochs-max", "1",
+             "--checkpoint", str(ckpt), "--output-dir", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "invalid config: flow_steps must be >= 1, got 0" in err
+        assert "bad.pgm" not in err
+        assert not ckpt.parent.exists()
+        assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_restore_refuses_a_pipe_without_waiting_for_a_writer(self, tmp_path, capsys):
+        model = build(IraeConfig(flow_steps=1, levels=1, hidden_width=4))
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(randomize_parameters(model, np.random.default_rng(20)), ckpt)
+        inputs, out = tmp_path / "inputs", tmp_path / "out"
+        inputs.mkdir()
+        os.mkfifo(inputs / "a.pgm")
+        args = ["restore", "--checkpoint", str(ckpt), "--input", str(inputs), "--output", str(out)]
+        assert on_new_thread(lambda: main(args), timeout=10) == 1
+        assert f"error: {inputs / 'a.pgm'}: not a regular file" in capsys.readouterr().err
         assert not out.exists()
 
     def test_train_makes_its_directories_before_training(self, tmp_path, monkeypatch, capsys):

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irae.degrade import (
     BASE_QUANT_TABLE,
+    KINDS,
     DegradationSpec,
     apply_awgn,
     apply_blind_awgn,
@@ -213,3 +216,84 @@ class TestSpecAndDispatch:
             y1 = degrade(x, spec, np.random.default_rng(25))
             y2 = degrade(x, spec, np.random.default_rng(25))
             assert np.array_equal(y1, y2), kind
+
+
+def refusal(fn, *args):
+    """The message of the ValueError fn(*args) raises, or None when it returns;
+    any other exception propagates."""
+    try:
+        fn(*args)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+# a parameter as a caller may pass it: any float (NaN and +-inf included) or
+# integer, with the edges of each rule drawn often
+NUMBERS = st.one_of(
+    st.floats(),
+    st.integers(-300, 300),
+    st.sampled_from([0, 0.0, -0.0, 0.5, 1, 1.5, 55.0, 100, 100.7, 101, -5, math.nan, math.inf, -math.inf]),
+)
+PAIRS = st.tuples(NUMBERS, NUMBERS)
+# an image or mask side: small integers, or a number no array can have as a side
+SIDES = st.one_of(st.integers(-4, 40), st.sampled_from([0.5, 8.0, 16.5, math.nan, math.inf, -math.inf]))
+
+
+class TestOneRule:
+    """Each degradation function refuses its parameter exactly when
+    DegradationSpec(...).validate() does, with the same message, and returns
+    whenever the spec accepts it."""
+
+    X = np.full((1, 8, 8), 0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sigma=NUMBERS)
+    @example(sigma=math.nan)
+    @example(sigma=math.inf)
+    def test_awgn(self, sigma):
+        rng = np.random.default_rng(0)
+        assert refusal(apply_awgn, self.X, sigma, rng) == refusal(DegradationSpec(sigma=sigma).validate)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sigma_range=PAIRS)
+    @example(sigma_range=(-5, 5))
+    def test_blind_awgn(self, sigma_range):
+        spec = DegradationSpec(sigma_range=sigma_range)
+        for seed in range(3):  # the answer must not depend on the draw
+            rng = np.random.default_rng(seed)
+            assert refusal(apply_blind_awgn, self.X, sigma_range, rng) == refusal(spec.validate)
+
+    @settings(max_examples=200, deadline=None)
+    @given(quality_factor=NUMBERS)
+    @example(quality_factor=100.7)
+    def test_quality_factor(self, quality_factor):
+        expected = refusal(DegradationSpec(quality_factor=quality_factor).validate)
+        assert refusal(quant_table, quality_factor) == expected
+        assert refusal(apply_jpeg_sim, self.X[0], quality_factor) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(image_size=st.tuples(SIDES, SIDES), mask_size=st.tuples(SIDES, SIDES))
+    @example(image_size=(32, 32), mask_size=(math.nan, math.nan))
+    def test_inpaint_mask(self, image_size, mask_size):
+        spec = DegradationSpec(kind="inpaint", mask_size=mask_size, image_size=image_size)
+        rng = np.random.default_rng(0)
+        assert refusal(make_inpaint_mask, image_size, mask_size, rng) == refusal(spec.validate)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS + ("blur",)),
+        sigma=NUMBERS,
+        sigma_range=PAIRS,
+        quality_factor=NUMBERS,
+        mask_size=st.tuples(SIDES, SIDES),
+        image_size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    )
+    def test_degrade(self, kind, sigma, sigma_range, quality_factor, mask_size, image_size):
+        """degrade() checks the parameter its kind uses, against the image it is given."""
+        used = {"awgn": {"sigma": sigma}, "blind_awgn": {"sigma_range": sigma_range},
+                "jpeg": {"quality_factor": quality_factor}, "inpaint": {"mask_size": mask_size}}
+        spec = DegradationSpec(kind=kind, image_size=image_size, **used.get(kind, {}))
+        x = np.full((1, *image_size), 0.5)
+        rng = np.random.default_rng(0)
+        assert refusal(degrade, x, spec, rng) == refusal(spec.validate)

@@ -2,7 +2,7 @@
 
 import hashlib
 import os
-import threading
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -26,7 +26,7 @@ from irae.model import (
     save_checkpoint,
 )
 from irae.train import l1_loss
-from memtools import held_by
+from memtools import held_by, on_new_thread
 
 
 def tiny_config(**kw):
@@ -559,21 +559,37 @@ class TestCheckpoint:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_refused(self, tiny_checkpoint, tmp_path):
-        """A pipe cannot report its size, so the payload length is unknown."""
+        """A pipe cannot report its size, so the payload length is unknown.
+        It is refused before any read: a whole checkpoint written into it
+        stays there."""
         path, _ = tiny_checkpoint
+        blob = path.read_bytes()
         fifo = tmp_path / "model.fifo"
         os.mkfifo(fifo)
+        # the test's own read end lets the write end open without waiting
+        r = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        w = os.open(fifo, os.O_WRONLY)
+        try:
+            assert os.write(w, blob) == len(blob)
+            with pytest.raises(CheckpointError, match="not a regular file"):
+                load_checkpoint(fifo)
+            assert os.read(r, len(blob) + 1) == blob
+        finally:
+            os.close(w)
+            os.close(r)
 
-        def write():
-            with open(fifo, "wb") as w:
-                w.write(path.read_bytes())
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_without_writer_refused_without_waiting(self, tmp_path):
+        """Opening a pipe for reading waits for a writer unless it is opened
+        without blocking; the loader must refuse it, not wait forever."""
+        fifo = tmp_path / "model.fifo"
+        os.mkfifo(fifo)
+        with pytest.raises(CheckpointError, match=re.escape(f"{fifo}: not a regular file")):
+            on_new_thread(lambda: load_checkpoint(fifo), timeout=10)
 
-        writer = threading.Thread(target=write, daemon=True)
-        writer.start()
-        with pytest.raises(CheckpointError, match="not a regular file"):
-            load_checkpoint(fifo)
-        writer.join(timeout=10)
-        assert not writer.is_alive()
+    def test_device_refused_before_any_read(self):
+        with pytest.raises(CheckpointError, match=re.escape(f"{os.devnull}: not a regular file")):
+            load_checkpoint(os.devnull)
 
     @settings(max_examples=300, deadline=None)
     @given(offset=st.integers(0, TINY_CKPT_BYTES - 1), value=st.integers(0, 255))

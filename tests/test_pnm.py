@@ -1,11 +1,15 @@
 """PGM/PPM reader/writer checks."""
 
+import os
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irae.pnm import load_pnm, pnm_shape, save_pnm
+from memtools import on_new_thread
 
 
 class TestLoad:
@@ -71,6 +75,22 @@ class TestLoad:
         path.write_bytes(b"P5\n1 1\n255\n" + bytes([5]) + b"unexpected")
         with pytest.raises(ValueError, match="after pixel data"):
             load_pnm(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("read", [pnm_shape, load_pnm])
+    def test_pipe_without_writer_refused_without_waiting(self, tmp_path, read):
+        """Opening a pipe for reading waits for a writer unless it is opened
+        without blocking; reading it would not end before the writer does."""
+        fifo = tmp_path / "a.pgm"
+        os.mkfifo(fifo)
+        with pytest.raises(ValueError, match=re.escape(f"{fifo}: not a regular file")):
+            on_new_thread(lambda: read(fifo), timeout=10)
+
+    @pytest.mark.parametrize("read", [pnm_shape, load_pnm])
+    def test_device_refused_before_any_read(self, read):
+        """A character device such as /dev/zero never ends; the null device stands in for it."""
+        with pytest.raises(ValueError, match=re.escape(f"{os.devnull}: not a regular file")):
+            read(os.devnull)
 
 
 @pytest.mark.parametrize(

@@ -327,6 +327,30 @@ class TestTrainLoop:
         assert not model.actnorms_initialized
 
     @pytest.mark.parametrize(
+        "channels, levels, message",
+        [
+            (1, 3, "H and W must be divisible by 8, got 20x20"),
+            (3, 1, "model expects 1 channels, got 3"),
+        ],
+        ids=["20x20-at-L3", "rgb-to-gray"],
+    )
+    def test_shape_the_model_cannot_take_refused_before_any_degradation(
+        self, monkeypatch, channels, levels, message
+    ):
+        """The model's own rule refuses the shape before train() draws a
+        corruption or starts a shard thread."""
+
+        def degrade(*args):
+            raise AssertionError("a degradation was drawn before the image shape was checked")
+
+        monkeypatch.setattr(train_module, "degrade", degrade)
+        model = build(IraeConfig(flow_steps=1, levels=levels, hidden_width=4, seed=27))
+        images = [np.full((channels, 20, 20), 0.5) for _ in range(8)]
+        with pytest.raises(ValueError, match=message):
+            train(model, images, DegradationSpec(kind="awgn"), epochs_max=1, batch_size=8)
+        assert not model.actnorms_initialized
+
+    @pytest.mark.parametrize(
         "kwargs, message",
         [
             ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
