@@ -104,7 +104,10 @@ def apply_blind_awgn(x, sigma_range, rng):
     Returns (y, sigma_drawn) so a run can be replayed.
     """
     DegradationSpec(sigma_range=sigma_range).validate()
-    sigma = float(rng.uniform(*sigma_range))
+    lo, hi = sigma_range
+    # rng.uniform's own formula, written out: rng.uniform refuses (0.0, -0.0),
+    # which the spec accepts
+    sigma = float(lo + (hi - lo) * rng.random())
     return apply_awgn(x, sigma, rng), sigma
 
 
